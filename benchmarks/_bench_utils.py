@@ -31,6 +31,16 @@ if str(_REPO_ROOT) not in sys.path:  # pragma: no cover - import plumbing
     sys.path.insert(0, str(_REPO_ROOT))
 
 
+def bench_file(name: str) -> Path:
+    """The repo-root path of a ``BENCH_*.json`` output, whatever the cwd.
+
+    ``bench_gate`` and the CI upload steps read the files at the repo
+    root; every benchmark reads and writes its output through here so a
+    run started from another directory cannot leave a stray copy.
+    """
+    return _REPO_ROOT / name
+
+
 def build_twitter_serving_setup(
     *,
     n_tweets: int,

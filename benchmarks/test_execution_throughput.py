@@ -11,8 +11,9 @@ fused ``bin_counts_many`` sweep per (table, bin grid).  Results, work
 counters, virtual times, and per-request cache hit/miss deltas must be
 bit-identical; only the middleware host gets faster.
 
-Also drives the serving pipeline's execute stage both ways (``MalivaService
-(batch_execute=...)``) for the stage-level view and the sharing report.
+Also drives the serving pipeline's execute stage both ways — one batched
+``answer_many`` against per-request ``answer_one`` calls — for the
+stage-level view and the sharing report.
 
 Writes ``BENCH_execution.json`` (repo root).  At non-tiny scales the batch
 executor must clear a 2x cold-throughput gain; at tiny scale (the CI
@@ -21,11 +22,10 @@ equivalence smoke) only the bit-identity assertions run.
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 
-from _bench_utils import SCALE, build_twitter_serving_setup, emit
+from _bench_utils import SCALE, bench_file, build_twitter_serving_setup, emit
 
 from repro.viz import TWITTER_TRANSLATOR
 
@@ -114,12 +114,12 @@ def test_execution_throughput_batched_vs_sequential(benchmark):
     batched_outcomes = batched_service.answer_many(stream)
     batched_stage = dict(batched_service.stats.stage_seconds)
 
-    sequential_service = maliva.service(
-        translator=TWITTER_TRANSLATOR, batch_execute=False
-    )
+    sequential_service = maliva.service(translator=TWITTER_TRANSLATOR)
     _cold(maliva)
     sequential_service.invalidate()
-    sequential_outcomes = sequential_service.answer_many(stream)
+    sequential_outcomes = [
+        sequential_service.answer_one(request) for request in stream
+    ]
     sequential_stage = dict(sequential_service.stats.stage_seconds)
     assert [outcome.total_ms for outcome in batched_outcomes] == [
         outcome.total_ms for outcome in sequential_outcomes
@@ -151,7 +151,7 @@ def test_execution_throughput_batched_vs_sequential(benchmark):
             "sequential_stage_seconds": sequential_stage,
         },
     }
-    Path("BENCH_execution.json").write_text(
+    bench_file("BENCH_execution.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True)
     )
 

@@ -122,7 +122,7 @@ class Database:
         self._lookup_cache = InstrumentedCache("lookup", capacity=1024)
         self._plan_cache = InstrumentedCache("plan", capacity=1024)
         self._key_cache: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
-        self._true_time_cache = InstrumentedCache("true_time")
+        self._true_time_cache = InstrumentedCache("true_time", capacity=1024)
         # Statistics-based selectivity estimates are pure functions of the
         # current statistics build; the QTE featurizer asks for the same
         # (table, predicate) pairs on every estimate of every request.

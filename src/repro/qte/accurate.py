@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..db import Database, SelectQuery
+from ..db.caches import InstrumentedCache
 from ..db.predicates import Predicate
 from .base import EstimationOutcome, QueryTimeEstimator, required_attributes
 from .fused import fused_predicate_counts
@@ -44,10 +45,12 @@ class AccurateQTE(QueryTimeEstimator):
         self._db = database
         self.unit_cost_ms = unit_cost_ms
         self.overhead_ms = overhead_ms
+        # Both memos are keyed by distinct queries, so they are LRU-bounded
+        # like the sampling QTE's: a long serve must not grow them forever.
         #: (table, predicate key) -> true selectivity.
-        self._sel_memo: dict[tuple, float] = {}
+        self._sel_memo = InstrumentedCache("qte_selectivity", capacity=8192)
         #: rewritten-query key -> true execution time.
-        self._time_memo: dict[tuple, float] = {}
+        self._time_memo = InstrumentedCache("qte_true_time", capacity=8192)
         if database is not None:
             # Self-invalidate on any catalog change, so even a bare Maliva
             # facade (no serving layer attached) never serves stale memos.
@@ -87,7 +90,7 @@ class AccurateQTE(QueryTimeEstimator):
         cached = self._sel_memo.get(key)
         if cached is None:
             cached = self._db.true_selectivity(table_name, predicate)
-            self._sel_memo[key] = cached
+            self._sel_memo.put(key, cached)
         return cached
 
     def _true_time(self, rewritten: SelectQuery) -> float:
@@ -95,7 +98,7 @@ class AccurateQTE(QueryTimeEstimator):
         cached = self._time_memo.get(key)
         if cached is None:
             cached = self._db.true_execution_time_ms(rewritten)
-            self._time_memo[key] = cached
+            self._time_memo.put(key, cached)
         return cached
 
     # ------------------------------------------------------------------
@@ -143,12 +146,12 @@ class AccurateQTE(QueryTimeEstimator):
             table = self._db.table(table_name)
             if table.n_rows == 0:
                 for predicate in group:
-                    self._sel_memo[(table_name, predicate.key())] = 0.0
+                    self._sel_memo.put((table_name, predicate.key()), 0.0)
                 continue
             counts = fused_predicate_counts(table, kind, column, group)
             for predicate, count in zip(group, counts):
-                self._sel_memo[(table_name, predicate.key())] = (
-                    int(count) / table.n_rows
+                self._sel_memo.put(
+                    (table_name, predicate.key()), int(count) / table.n_rows
                 )
 
     def invalidate(self) -> None:

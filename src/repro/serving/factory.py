@@ -48,7 +48,6 @@ class ServiceConfig:
     decision_cache_size: int = 4096
     quality_fn: object | None = None
     stream_batch_size: int = 8
-    batch_execute: bool = True
     #: "off", "degrade", "shed", None, or an AdmissionController.
     admission: object | None = "off"
     load_watermark_ms: float = 5_000.0
@@ -137,7 +136,6 @@ def build_service(maliva: "Maliva", config: ServiceConfig | None = None, **overr
         decision_cache_size=config.decision_cache_size,
         quality_fn=config.quality_fn,
         stream_batch_size=config.stream_batch_size,
-        batch_execute=config.batch_execute,
         admission=_resolve_admission(config),
         **config.extra,
     )

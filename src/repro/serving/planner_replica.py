@@ -246,9 +246,9 @@ class ProxiedAccurateQTE(AccurateQTE):
             return
         values, times = self._rpc(pairs, queries)
         for (table_name, probe), value in zip(pairs, values):
-            self._sel_memo[(table_name, probe.key())] = float(value)
+            self._sel_memo.put((table_name, probe.key()), float(value))
         for rewritten, time_ms in zip(queries, times):
-            self._time_memo[rewritten.key()] = float(time_ms)
+            self._time_memo.put(rewritten.key(), float(time_ms))
 
     def collect_pairs(self, pairs: Sequence[tuple[str, Predicate]]) -> None:
         pending: dict[tuple, tuple[str, Predicate]] = {}
@@ -260,7 +260,7 @@ class ProxiedAccurateQTE(AccurateQTE):
             return
         values, _times = self._rpc(list(pending.values()), [])
         for key, value in zip(pending, values):
-            self._sel_memo[key] = float(value)
+            self._sel_memo.put(key, float(value))
 
     def _true_selectivity(self, table_name: str, predicate: Predicate) -> float:
         key = (table_name, predicate.key())
@@ -268,7 +268,7 @@ class ProxiedAccurateQTE(AccurateQTE):
         if cached is None:
             values, _times = self._rpc([(table_name, predicate)], [])
             cached = float(values[0])
-            self._sel_memo[key] = cached
+            self._sel_memo.put(key, cached)
         return cached
 
     def _true_time(self, rewritten: SelectQuery) -> float:
@@ -277,7 +277,7 @@ class ProxiedAccurateQTE(AccurateQTE):
         if cached is None:
             _values, times = self._rpc([], [rewritten])
             cached = float(times[0])
-            self._time_memo[key] = cached
+            self._time_memo.put(key, cached)
         return cached
 
 

@@ -102,7 +102,6 @@ class MalivaService:
         decision_cache_size: int = 4096,
         quality_fn: QualityFunction | None = None,
         stream_batch_size: int = 8,
-        batch_execute: bool = True,
         admission: AdmissionController | None = None,
     ) -> None:
         if stream_batch_size < 1:
@@ -121,11 +120,6 @@ class MalivaService:
         self.scheduler = scheduler or SessionAffinityScheduler()
         self.quality_fn = quality_fn
         self.stream_batch_size = stream_batch_size
-        #: Route the execute stage through the batched executor (shared
-        #: scans / index probes / bin sweeps).  Quality-scored serving
-        #: always executes sequentially: evaluating quality interleaves
-        #: extra engine work per request, which batching would reorder.
-        self.batch_execute = batch_execute
         self._decision_cache = InstrumentedCache("decision", capacity=decision_cache_size)
         # Gossip seam (used by the replicated router tier): decisions
         # received from sibling replicas wait here until a matching
@@ -434,12 +428,12 @@ class MalivaService:
         """
         outcomes: list[RequestOutcome | None] = [None] * len(requests)
         execute_started = time.perf_counter()
-        if self.batch_execute and self.quality_fn is None:
-            # Batched execute stage: one BatchExecutor pass over the
-            # scheduled order shares scans/probes/bin sweeps across the
-            # batch while producing outcomes bit-identical to sequential
-            # finish calls in that order.  Wall time is charged evenly —
-            # per-request attribution inside a fused batch is meaningless.
+        if self.quality_fn is None:
+            # One BatchExecutor pass over the scheduled order shares
+            # scans/probes/bin sweeps across the batch while producing
+            # outcomes bit-identical to sequential finish calls in that
+            # order.  Wall time is charged evenly — per-request
+            # attribution inside a fused batch is meaningless.
             finished, sharing = self.maliva.finish_batch(
                 [resolved[index][0] for index in order],
                 [decisions[index] for index in order],  # type: ignore[misc]
@@ -466,6 +460,8 @@ class MalivaService:
                     )
                 )
         else:
+            # Quality scoring interleaves extra engine work per request,
+            # which batching would reorder: execute one request at a time.
             for index in order:
                 started = time.perf_counter()
                 query, tau_ms = resolved[index]

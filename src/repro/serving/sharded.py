@@ -29,12 +29,15 @@ in its own process over a row slice (contiguous ``rows``, round-robin
   tables execute on the router's full engine, preserving the equivalence
   contract trivially.
 
-Failure model (DESIGN.md §4.5): a worker that times out past its per-call
-RPC deadline, EOFs, breaks its pipe, or replies garbage is *dead*, never
-*wrong* — every reply is validated before use and a failed validation is
-treated exactly like a crash.  The supervisor then:
+Failure model (DESIGN.md §4.5): the workers are a
+:class:`~repro.serving.fleet.Fleet` — the substrate the replicated router
+tier shares — so a worker that times out past its per-call RPC deadline,
+EOFs, breaks its pipe, or replies garbage is *dead*, never *wrong*, and is
+respawned warm after a capped exponential backoff until its respawn
+budget trips the circuit breaker.  This module keeps only the shard
+tier's reactions:
 
-* **recovers the affected work on the router.**  Scattered entries whose
+* **recovering the affected work on the router.**  Scattered entries whose
   report set is incomplete re-execute through ``execute_planned`` on the
   router engine, *in scheduled order, inside the same assembly loop* — the
   engine consumed its hint draws and plan-cache sequence during
@@ -43,25 +46,22 @@ treated exactly like a crash.  The supervisor then:
   to a dead planner replica replan on the router (the twin-planning
   property makes those decisions bit-identical too).  A batch never fails
   because a worker died.
-* **respawns the worker warm.**  The slot rebuilds a fresh
+* **respawning rank-aware.**  A respawned worker gets a fresh
   :class:`~repro.db.sharding.ShardSpec` from the *live* catalog
   (:func:`~repro.db.sharding.rebuild_shard_spec`), collapsing every
-  missed ``sync_table`` into the spec itself, after a capped exponential
-  backoff.  Respawns are budgeted (``max_respawns``); a flapping shard
-  exhausts the budget and trips the circuit breaker.
-* **retires and rebalances.**  A breaker-open shard is permanently
-  removed; surviving rows-mode shards re-slice to the smaller arity (rank
-  order follows shard-id order, so merged concatenation stays canonical)
-  and orphaned table-mode groups are re-adopted round-robin.  Subsequent
-  batches scatter across the smaller fleet; with zero survivors every
-  request runs on the router.
+  missed ``sync_table`` into the spec itself, plus a fresh planner
+  replica.
+* **rebalancing on retirement.**  Surviving rows-mode shards re-slice to
+  the smaller arity (rank order follows shard-id order, so merged
+  concatenation stays canonical) and orphaned table-mode groups are
+  re-adopted round-robin.  Subsequent batches scatter across the smaller
+  fleet; with zero survivors every request runs on the router.
 
-Fault injection threads through the same transport: the *router-side*
+Fault injection threads through the fleet's channels: the router-side
 handles consult an optional :class:`~repro.serving.faults.FaultPlan` once
 per worker op and ship the chosen action (crash / hang / garble) inside
 the op message, so workers misbehave at exactly the scheduled call —
-deterministically, inline and in real processes (see ``faults.py`` for
-why the counting lives router-side).
+deterministically, inline and in real processes.
 
 A note on per-request engine-cache deltas: outcomes served by this class
 attribute cache activity from the *execute phase only*.  Scattered queries
@@ -85,16 +85,13 @@ as coherent as the replica state it fronts.
 Worker transport is a duplex pipe per shard; the shard spec is pickled
 across it (:class:`~repro.db.sharding.ShardSpec` is deliberately plain
 data), so the design is start-method agnostic.  ``processes=False`` runs
-the same engines inline — bit-identical, handy for tests and for
+the same handler table inline — bit-identical, handy for tests and for
 single-core hosts where process parallelism cannot pay for its transport.
 """
 
 from __future__ import annotations
 
-import asyncio
-import multiprocessing
 import time
-import traceback
 from typing import Sequence
 
 from ..core.middleware import Maliva, RequestOutcome
@@ -114,14 +111,16 @@ from ..db.sharding import (
     scatter_eligible,
 )
 from ..errors import QueryError
-from .faults import (
-    CRASH,
-    GARBLE,
-    GARBLED_REPLY,
-    HANG,
-    FaultPlan,
-    WorkerFault,
-    WorkerTimeout,
+from .faults import FaultPlan, WorkerFault
+from .fleet import (
+    Fleet,
+    Handlers,
+    InlineChannel,
+    PipeChannel,
+    SupervisedSlot,
+    WorkerChannel,
+    await_replies,
+    worker_loop,
 )
 from .planner_replica import (
     PlannerReplica,
@@ -135,295 +134,92 @@ from .requests import VizRequest
 from .service import MalivaService, _InflightExecution, _PlannedBatch
 from .stats import RequestRecord, ShardStats
 
-#: How long a worker told to HANG sleeps — far past any realistic deadline.
-_HANG_S = 3600.0
 
+class _ShardWorker:
+    """One shard worker's state and op handlers (in a process or inline).
 
-class InlineShardHandle:
-    """A shard engine driven in-process (no transport, same semantics).
-
-    Injected faults surface where the process transport would surface
-    them: submit records the scheduled action, collect raises it
-    (:class:`WorkerTimeout` for hangs, :class:`WorkerFault` otherwise),
-    and the supervisor recovers identically to a real worker death.
+    While a ``plan`` op runs, the worker's accurate-QTE proxy may need
+    oracle values only the router's full engine holds, and calls
+    ``probe_rpc``.  In a worker process that sends an in-band
+    ``("rpc", (pairs, queries))`` message up the same pipe and blocks on
+    the answer, which the router services during its gather loop
+    (:meth:`_ShardOps.collect_plan`); the final ``("ok", ...)`` reply
+    closes the op as usual, so the pipe protocol stays in lockstep.
+    Inline, ``probe_rpc`` is the router's resolver itself.
     """
 
-    def __init__(self, spec, fault_plan: FaultPlan | None = None) -> None:
-        self.shard_id = spec.shard_id
-        self.owned_tables = spec.owned_tables
-        self._engine = ShardEngine(spec)
-        self._fault_plan = fault_plan
-        self._pending: list[tuple[list[ShardEntry], str | None]] = []
-        self._replica: PlannerReplica | None = None
-        self._pending_plans: list[tuple[list, list, str | None]] = []
+    def __init__(self, probe_rpc) -> None:
+        self.engine: ShardEngine | None = None
+        self.replica: PlannerReplica | None = None
+        self._probe_rpc = probe_rpc
 
-    def _action(self, op: str) -> str | None:
-        if self._fault_plan is None:
-            return None
-        return self._fault_plan.action_for(self.shard_id, op)
+    def handlers(self) -> Handlers:
+        return {
+            "init": self._init,
+            "execute": lambda entries: self.engine.execute(entries),
+            "sync": self._sync,
+            "init_planner": self._init_planner,
+            "plan": self._plan,
+            "sync_planner": lambda sync: self.replica.apply_sync(sync),
+            "mirror": lambda items: self.replica.absorb_mirror(items),
+            "cache_stats": lambda _payload: self.engine.cache_stats(),
+        }
 
-    def _raise_fault(self, action: str | None) -> None:
-        if action == HANG:
-            raise WorkerTimeout(f"shard worker {self.shard_id}: injected hang")
-        if action is not None:
-            raise WorkerFault(f"shard worker {self.shard_id}: injected {action}")
+    def _init(self, spec) -> None:
+        self.engine = ShardEngine(spec)
 
-    def submit_execute(self, entries: Sequence[ShardEntry]) -> None:
-        self._pending.append((list(entries), self._action("execute")))
+    def _sync(self, payload) -> None:
+        table, indexed_columns = payload
+        self.engine.sync_table(table, indexed_columns)
 
-    def reply_ready(self) -> bool:
-        """Inline work happens at collect time, so a reply never blocks."""
-        return True
+    def _init_planner(self, spec: PlannerSpec) -> None:
+        self.replica = PlannerReplica(spec, self._probe_rpc)
 
-    def collect(self, deadline_s: float | None = None, expected: int | None = None):
-        entries, action = self._pending.pop(0)
-        self._raise_fault(action)
-        return self._engine.execute(entries)
-
-    def init_planner(self, spec: PlannerSpec, rpc) -> None:
-        """Build the worker's planning replica (rpc is a direct callable)."""
-        self._replica = PlannerReplica(spec, rpc)
-
-    def submit_plan(self, queries, taus) -> None:
-        self._pending_plans.append(
-            (list(queries), list(taus), self._action("plan"))
-        )
-
-    def collect_plan(
-        self, deadline_s: float | None = None, expected: int | None = None
-    ):
-        assert self._replica is not None
-        queries, taus, action = self._pending_plans.pop(0)
-        self._raise_fault(action)
-        before = self._replica.mirror_hits
+    def _plan(self, payload):
+        queries, taus = payload
+        before = self.replica.mirror_hits
         started = time.perf_counter()
-        decisions = self._replica.rewrite_batch(queries, taus)
+        decisions = self.replica.rewrite_batch(queries, taus)
         wall_s = time.perf_counter() - started
-        return decisions, wall_s, self._replica.mirror_hits - before
-
-    def mirror_decisions(self, items, deadline_s: float | None = None) -> None:
-        self._raise_fault(self._action("mirror"))
-        if self._replica is not None:
-            self._replica.absorb_mirror(items)
-
-    def sync_table(
-        self, table, indexed_columns, deadline_s: float | None = None
-    ) -> None:
-        self._raise_fault(self._action("sync"))
-        self._engine.sync_table(table, indexed_columns)
-
-    def sync_planner(
-        self, sync: PlannerSync, deadline_s: float | None = None
-    ) -> None:
-        self._raise_fault(self._action("sync_planner"))
-        if self._replica is not None:
-            self._replica.apply_sync(sync)
-
-    def cache_stats(self, deadline_s: float | None = None):
-        self._raise_fault(self._action("cache_stats"))
-        return self._engine.cache_stats()
-
-    def close(self, graceful: bool = True) -> None:
-        self._pending.clear()
-        self._pending_plans.clear()
+        return decisions, wall_s, self.replica.mirror_hits - before
 
 
 def _shard_worker_main(conn) -> None:
-    """Worker-process loop: build the engine from the pickled spec, serve.
+    """Shard worker process: serve the shard op table over ``conn``."""
 
-    While a ``plan`` op runs, the worker's accurate-QTE proxy may need
-    oracle values only the router's full engine holds; it sends an
-    ``("rpc", (pairs, queries))`` message up the same pipe and blocks on
-    the reply, which the router services inline during its gather loop
-    (:meth:`ShardWorkerHandle.collect_plan`).  The final ``("ok", ...)``
-    reply closes the op as usual, so the pipe protocol stays in lockstep.
-
-    Every op message carries an optional injected fault action as its
-    third element: ``crash`` exits before touching the op (the router
-    sees EOF, exactly like a segfault), ``hang`` sleeps far past any
-    deadline, ``garble`` ships junk in place of the real reply.
-    """
-    engine: ShardEngine | None = None
-    replica: PlannerReplica | None = None
-
-    def _probe_rpc(pairs, queries):
+    def probe_rpc(pairs, queries):
         conn.send(("rpc", (list(pairs), list(queries))))
         return conn.recv()
 
-    while True:
-        try:
-            op, payload, fault = conn.recv()
-        except (EOFError, OSError):  # pragma: no cover - parent died
-            return
-        if fault == CRASH:
-            # Die before touching the op — the router's next recv EOFs.
-            return
-        if fault == HANG:  # pragma: no cover - killed mid-sleep by router
-            time.sleep(_HANG_S)
-        try:
-            if fault == GARBLE:
-                conn.send(("ok", GARBLED_REPLY))
-            elif op == "init":
-                engine = ShardEngine(payload)
-                conn.send(("ok", None))
-            elif op == "execute":
-                assert engine is not None
-                conn.send(("ok", engine.execute(payload)))
-            elif op == "sync":
-                assert engine is not None
-                table, indexed_columns = payload
-                engine.sync_table(table, indexed_columns)
-                conn.send(("ok", None))
-            elif op == "init_planner":
-                replica = PlannerReplica(payload, _probe_rpc)
-                conn.send(("ok", None))
-            elif op == "plan":
-                assert replica is not None
-                queries, taus = payload
-                before = replica.mirror_hits
-                started = time.perf_counter()
-                decisions = replica.rewrite_batch(queries, taus)
-                wall_s = time.perf_counter() - started
-                conn.send(
-                    ("ok", (decisions, wall_s, replica.mirror_hits - before))
-                )
-            elif op == "sync_planner":
-                assert replica is not None
-                replica.apply_sync(payload)
-                conn.send(("ok", None))
-            elif op == "mirror":
-                assert replica is not None
-                replica.absorb_mirror(payload)
-                conn.send(("ok", None))
-            elif op == "cache_stats":
-                assert engine is not None
-                conn.send(("ok", engine.cache_stats()))
-            elif op == "stop":
-                conn.send(("ok", None))
-                return
-            else:  # pragma: no cover - protocol bug
-                conn.send(("error", f"unknown op {op!r}"))
-        except Exception:  # noqa: BLE001 - ship the traceback to the router
-            conn.send(("error", traceback.format_exc()))
+    worker_loop(conn, _ShardWorker(probe_rpc).handlers())
 
 
-class ShardWorkerHandle:
-    """A shard engine in a worker process, driven over a duplex pipe.
+class _ShardOps(WorkerChannel):
+    """The shard tier's typed worker ops and reply-shape checks.
 
-    Every receive is deadline-bounded (``conn.poll`` before ``recv``) and
-    every reply is shape-validated before use; a timeout, transport
-    error, error reply, or malformed payload raises :class:`WorkerFault`
-    (:class:`WorkerTimeout` for deadline misses) for the supervisor to
-    consume.  The handle itself never retries — recovery policy lives in
-    :class:`ShardedMalivaService`.
+    Mixed over either fleet transport: :class:`ShardWorkerHandle` (a
+    worker process) or :class:`InlineShardHandle` (in-process).
     """
 
-    def __init__(
-        self,
-        spec,
-        start_method: str | None = None,
-        fault_plan: FaultPlan | None = None,
-    ) -> None:
-        self.shard_id = spec.shard_id
-        self.owned_tables = spec.owned_tables
-        self._fault_plan = fault_plan
-        context = multiprocessing.get_context(start_method)
-        self._conn, worker_conn = context.Pipe(duplex=True)
-        self._process = context.Process(
-            target=_shard_worker_main,
-            args=(worker_conn,),
-            daemon=True,
-            name=f"maliva-shard-{spec.shard_id}",
-        )
-        self._process.start()
-        worker_conn.close()
-        # Warm start: the spec travels pickled; the worker builds tables
-        # and indexes before the service answers its first request.
-        try:
-            self._request_none("init", spec, deadline_s=None)
-        except Exception:
-            self.close(graceful=False)
-            raise
-
-    def _action(self, op: str) -> str | None:
-        if self._fault_plan is None:
-            return None
-        return self._fault_plan.action_for(self.shard_id, op)
-
-    def _send(self, op: str, payload) -> None:
-        try:
-            self._conn.send((op, payload, self._action(op)))
-        except (BrokenPipeError, OSError, ValueError) as error:
-            raise WorkerFault(
-                f"shard worker {self.shard_id}: send failed: {error}"
-            ) from error
-
-    def _recv_message(self, deadline_s: float | None):
-        try:
-            if deadline_s is not None and not self._conn.poll(deadline_s):
-                raise WorkerTimeout(
-                    f"shard worker {self.shard_id}: no reply within "
-                    f"{deadline_s:.3f}s"
-                )
-            message = self._conn.recv()
-        except WorkerFault:
-            raise
-        except Exception as error:  # noqa: BLE001 - any transport failure
-            raise WorkerFault(
-                f"shard worker {self.shard_id}: receive failed: {error}"
-            ) from error
-        if not isinstance(message, tuple) or len(message) != 2:
-            raise WorkerFault(
-                f"shard worker {self.shard_id}: malformed reply {message!r}"
-            )
-        return message
-
-    def _recv_ok(self, deadline_s: float | None):
-        status, payload = self._recv_message(deadline_s)
-        if status != "ok":
-            raise WorkerFault(
-                f"shard worker {self.shard_id} failed:\n{payload}"
-            )
-        return payload
-
-    def _request_none(self, op: str, payload, deadline_s: float | None) -> None:
-        self._send(op, payload)
-        reply = self._recv_ok(deadline_s)
-        if reply is not None:
-            raise WorkerFault(
-                f"shard worker {self.shard_id}: unexpected {op} reply {reply!r}"
-            )
+    label = "shard worker"
+    #: Router-side resolver for the worker planner's oracle probes.
+    _rpc = None
 
     def submit_execute(self, entries: Sequence[ShardEntry]) -> None:
         self._send("execute", list(entries))
 
-    def reply_ready(self) -> bool:
-        """Non-blocking probe: has the worker's next reply arrived?
-
-        Transport errors report ready — the subsequent :meth:`collect`
-        will surface them as a :class:`WorkerFault` for the supervisor.
-        """
-        try:
-            return bool(self._conn.poll(0))
-        except (OSError, ValueError, EOFError):
-            return True
-
-    def collect(self, deadline_s: float | None = None, expected: int | None = None):
-        reply = self._recv_ok(deadline_s)
-        if not isinstance(reply, ShardBatchReply):
-            raise WorkerFault(
-                f"shard worker {self.shard_id}: garbled execute reply "
-                f"{reply!r}"
-            )
+    def collect(
+        self, deadline_s: float | None = None, expected: int | None = None
+    ) -> ShardBatchReply:
+        reply = self._expect(self._recv_ok(deadline_s), ShardBatchReply, "execute")
         if expected is not None and len(reply.reports) != expected:
             raise WorkerFault(
-                f"shard worker {self.shard_id}: expected {expected} reports, "
-                f"got {len(reply.reports)}"
+                f"{self}: expected {expected} reports, got {len(reply.reports)}"
             )
         return reply
 
     def init_planner(self, spec: PlannerSpec, rpc) -> None:
-        """Ship the planner replica spec; keep the router-side RPC resolver."""
+        """Build the worker's planning replica; ``rpc`` answers its probes."""
         self._rpc = rpc
         self._request_none("init_planner", spec, deadline_s=None)
 
@@ -435,46 +231,35 @@ class ShardWorkerHandle:
     ):
         """Gather a plan reply, servicing worker probe RPCs inline.
 
-        A worker blocked on oracle values sends ``("rpc", payload)``
-        instead of its final reply; the router answers on the spot (which
-        also warms its own QTE memos, exactly as local planning would)
-        and keeps waiting for the ``("ok", (decisions, wall_s, hits))``
-        close.  The deadline applies to each wait independently — a
-        worker making RPC progress is alive, not hung.
+        A worker process blocked on oracle values sends ``("rpc",
+        payload)`` instead of its final reply; the router answers on the
+        spot (which also warms its own QTE memos, exactly as local
+        planning would) and keeps waiting for the ``("ok", (decisions,
+        wall_s, hits))`` close.  The deadline applies to each wait
+        independently — a worker making RPC progress is alive, not hung.
         """
-        while True:
+        status, payload = self._recv_message(deadline_s)
+        while status == "rpc":
+            try:
+                pairs, queries = payload
+                self._conn.send(self._rpc(pairs, queries))
+            except (BrokenPipeError, OSError, ValueError, TypeError) as error:
+                raise WorkerFault(f"{self}: probe rpc failed: {error}") from error
             status, payload = self._recv_message(deadline_s)
-            if status == "rpc":
-                try:
-                    pairs, queries = payload
-                    answer = self._rpc(pairs, queries)
-                    self._conn.send(answer)
-                except (BrokenPipeError, OSError, ValueError, TypeError) as error:
-                    raise WorkerFault(
-                        f"shard worker {self.shard_id}: probe rpc failed: "
-                        f"{error}"
-                    ) from error
-            elif status == "ok":
-                if (
-                    not isinstance(payload, tuple)
-                    or len(payload) != 3
-                    or not isinstance(payload[0], list)
-                ):
-                    raise WorkerFault(
-                        f"shard worker {self.shard_id}: garbled plan reply "
-                        f"{payload!r}"
-                    )
-                decisions, wall_s, mirror_hits = payload
-                if expected is not None and len(decisions) != expected:
-                    raise WorkerFault(
-                        f"shard worker {self.shard_id}: expected {expected} "
-                        f"decisions, got {len(decisions)}"
-                    )
-                return decisions, float(wall_s), int(mirror_hits)
-            else:
-                raise WorkerFault(
-                    f"shard worker {self.shard_id} failed:\n{payload}"
-                )
+        if status != "ok":
+            raise WorkerFault(f"{self} failed:\n{payload}")
+        if (
+            not isinstance(payload, tuple)
+            or len(payload) != 3
+            or not isinstance(payload[0], list)
+        ):
+            raise WorkerFault(f"{self}: garbled plan reply {payload!r}")
+        decisions, wall_s, mirror_hits = payload
+        if expected is not None and len(decisions) != expected:
+            raise WorkerFault(
+                f"{self}: expected {expected} decisions, got {len(decisions)}"
+            )
+        return decisions, float(wall_s), int(mirror_hits)
 
     def mirror_decisions(self, items, deadline_s: float | None = None) -> None:
         self._request_none("mirror", list(items), deadline_s)
@@ -489,78 +274,33 @@ class ShardWorkerHandle:
     ) -> None:
         self._request_none("sync_planner", sync, deadline_s)
 
-    def cache_stats(self, deadline_s: float | None = None):
-        self._send("cache_stats", None)
-        reply = self._recv_ok(deadline_s)
-        if not isinstance(reply, CacheStatsReport):
-            raise WorkerFault(
-                f"shard worker {self.shard_id}: garbled cache_stats reply "
-                f"{reply!r}"
-            )
-        return reply
-
-    def close(self, graceful: bool = True) -> None:
-        """Stop the worker, escalating terminate → kill, and free the pipe.
-
-        Both pipe ends are always closed, even when the worker is already
-        dead — a respawning supervisor must not leak one FD per death.
-        """
-        try:
-            if graceful and self._process.is_alive():
-                try:
-                    self._conn.send(("stop", None, None))
-                    if self._conn.poll(1.0):
-                        self._conn.recv()
-                except (BrokenPipeError, EOFError, OSError, ValueError):
-                    pass
-                self._process.join(timeout=5.0)
-            if self._process.is_alive():
-                self._process.terminate()
-                self._process.join(timeout=2.0)
-            if self._process.is_alive():  # pragma: no cover - stuck worker
-                self._process.kill()
-                self._process.join(timeout=2.0)
-        finally:
-            try:
-                self._conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
+    def cache_stats(self, deadline_s: float | None = None) -> CacheStatsReport:
+        reply = self._request("cache_stats", None, deadline_s)
+        return self._expect(reply, CacheStatsReport, "cache_stats")
 
 
-#: Backwards-compatible alias (the handle predates the supervisor).
-ProcessShardHandle = ShardWorkerHandle
+class ShardWorkerHandle(_ShardOps, PipeChannel):
+    """A shard engine in a worker process, driven over a duplex pipe."""
+
+    def __init__(
+        self,
+        spec,
+        start_method: str | None = None,
+        fault_plan: FaultPlan | None = None,
+    ) -> None:
+        # Warm start: the spec travels pickled; the worker builds tables
+        # and indexes before the service answers its first request.
+        super().__init__(
+            spec.shard_id, spec, _shard_worker_main, start_method, fault_plan
+        )
 
 
-class SupervisedSlot:
-    """One supervised position in a worker fleet: a handle plus its history.
+class InlineShardHandle(_ShardOps, InlineChannel):
+    """A shard engine driven in-process (no transport, same semantics)."""
 
-    The slot outlives any individual worker: deaths null the handle,
-    respawns refill it, and the breaker retires the slot for good.  Slot
-    index == shard id for the service's lifetime; only the *rank* among
-    active slots (which drives rows-mode slice assignment) shifts when a
-    neighbour retires.  The replicated router tier
-    (:mod:`repro.serving.replicated`) supervises its router replicas with
-    the same slots — ``shard_id`` doubles as the router id there.
-    """
-
-    __slots__ = (
-        "shard_id",
-        "handle",
-        "retired",
-        "deaths",
-        "respawns",
-        "backoff_s",
-        "next_spawn_at",
-    )
-
-    def __init__(self, shard_id: int, backoff_s: float) -> None:
-        self.shard_id = shard_id
-        self.handle = None
-        self.retired = False
-        self.deaths = 0
-        self.respawns = 0
-        self.backoff_s = backoff_s
-        self.next_spawn_at = 0.0
+    def __init__(self, spec, fault_plan: FaultPlan | None = None) -> None:
+        worker = _ShardWorker(lambda pairs, queries: self._rpc(pairs, queries))
+        super().__init__(spec.shard_id, spec, worker.handlers(), fault_plan)
 
 
 class _ScatterState:
@@ -634,25 +374,23 @@ class ShardedMalivaService(MalivaService):
         fault_plan: FaultPlan | None = None,
         **kwargs,
     ) -> None:
-        if n_shards < 1:
-            raise QueryError(f"n_shards must be at least 1, got {n_shards}")
+        # The fleet validates its options before anything is built; its
+        # slots stay empty until start(), which keeps the invalidation hook
+        # the base constructor registers a no-op until then.
+        self._fleet = Fleet(
+            n_shards,
+            size_option="n_shards",
+            rpc_deadline_ms=rpc_deadline_ms,
+            deadline_tau_factor=deadline_tau_factor,
+            max_respawns=max_respawns,
+            respawn_backoff_s=respawn_backoff_s,
+            respawn_backoff_cap_s=respawn_backoff_cap_s,
+            stats=lambda: self.stats.shards,
+        )
         if worker_batch_size is not None and worker_batch_size < 1:
             raise QueryError("worker_batch_size must be at least 1")
-        if rpc_deadline_ms is not None and rpc_deadline_ms <= 0:
-            raise QueryError("rpc_deadline_ms must be positive (None disables)")
-        if deadline_tau_factor < 0:
-            raise QueryError("deadline_tau_factor must be non-negative")
-        if max_respawns < 0:
-            raise QueryError("max_respawns must be non-negative")
-        if respawn_backoff_s < 0 or respawn_backoff_cap_s < 0:
-            raise QueryError("respawn backoffs must be non-negative")
-        # The invalidation hook the base constructor registers dispatches to
-        # our override, which broadcasts; make its guards resolvable first.
-        self._slots: list[SupervisedSlot] = []
         self._closed = False
         self._plan_scattered = False
-        self._rebalancing = False
-        self._rebalance_pending = False
         #: True between _execute_begin and _execute_finish: the worker
         #: pipes carry in-flight execute replies, so no other op may use
         #: them until the batch is collected.
@@ -667,12 +405,6 @@ class ShardedMalivaService(MalivaService):
         #: Cap on entries per worker round-trip; a saturated worker serves
         #: an oversized batch in successive chunks (outcome-invariant).
         self.worker_batch_size = worker_batch_size
-        self.plan_on_shards = plan_on_shards
-        self.rpc_deadline_ms = rpc_deadline_ms
-        self.deadline_tau_factor = deadline_tau_factor
-        self.max_respawns = max_respawns
-        self.respawn_backoff_s = respawn_backoff_s
-        self.respawn_backoff_cap_s = respawn_backoff_cap_s
         self.mirror_decisions = mirror_decisions
         self._fault_plan = fault_plan
         self._start_method = start_method
@@ -681,10 +413,10 @@ class ShardedMalivaService(MalivaService):
             name: spec.shard_id for spec in specs for name in spec.owned_tables
         }
         try:
-            for spec in specs:
-                slot = SupervisedSlot(spec.shard_id, respawn_backoff_s)
-                slot.handle = self._build_handle(spec)
-                self._slots.append(slot)
+            self._fleet.start(
+                lambda slot: self._build_handle(specs[slot.worker_id]),
+                respawn=self._respawn_handle,
+            )
             # Replicate the planning state so decision-cache misses scatter
             # too.  An unsupported QTE leaves planning on the router
             # (_rewrite_misses falls through to the base class), counted as
@@ -708,9 +440,17 @@ class ShardedMalivaService(MalivaService):
     # Lifecycle and observability
     # ------------------------------------------------------------------
     @property
+    def _slots(self) -> list[SupervisedSlot]:
+        """Every slot, indexed by shard id (retired ones included)."""
+        return self._fleet.slots
+
+    def _active_slots(self) -> list[SupervisedSlot]:
+        return self._fleet.active_slots()
+
+    @property
     def _handles(self) -> list:
         """Live handles, in shard-id order (dead/retired slots omitted)."""
-        return [slot.handle for slot in self._slots if slot.handle is not None]
+        return [slot.handle for slot in self._fleet.live_slots()]
 
     def _new_shard_stats(self) -> ShardStats:
         return ShardStats(shard_by=self.shard_by, n_shards=self.n_shards)
@@ -724,14 +464,7 @@ class ShardedMalivaService(MalivaService):
         if self._closed:
             return
         self._closed = True
-        for slot in self._slots:
-            handle, slot.handle = slot.handle, None
-            if handle is None:
-                continue
-            try:
-                handle.close(graceful=True)
-            except Exception:  # noqa: BLE001 - closing is best-effort
-                pass
+        self._fleet.close()
 
     def __del__(self):  # pragma: no cover - belt and braces
         try:
@@ -746,68 +479,22 @@ class ShardedMalivaService(MalivaService):
         # overlapped chunks) rather than desync the protocol.
         if not self._closed and not self._execute_inflight:
             caches: dict[str, dict] = {}
-            deadline_s = self._call_deadline_s()
-            for slot in self._active_slots():
-                if slot.handle is None:
-                    continue
+            deadline_s = self._fleet.call_deadline_s()
+            for slot in self._fleet.live_slots():
                 try:
                     stats = slot.handle.cache_stats(deadline_s)
-                except WorkerFault as error:
-                    self._record_death(slot, error)
+                except WorkerFault:
+                    self._fleet.record_death(slot)
                     continue
-                caches[str(slot.shard_id)] = stats.to_dict()
+                caches[str(slot.worker_id)] = stats.to_dict()
             report["shard_caches"] = caches
         return report
 
     # ------------------------------------------------------------------
-    # Deadlines
+    # Supervision reactions: rank-aware respawn, rebalance on retirement
     # ------------------------------------------------------------------
-    def _call_deadline_s(self, tau_ms: float | None = None) -> float | None:
-        """Reply deadline for request-path ops, scaled by the batch budget.
-
-        A worker serving a big-budget batch legitimately works longer, so
-        the deadline grows with the largest ``tau_ms`` in flight; the
-        base ``rpc_deadline_ms`` covers transport and fixed overheads.
-        ``rpc_deadline_ms=None`` disables deadlines entirely.
-        """
-        if self.rpc_deadline_ms is None:
-            return None
-        tau = tau_ms if tau_ms is not None else 0.0
-        return (self.rpc_deadline_ms + self.deadline_tau_factor * tau) / 1000.0
-
-    def _setup_deadline_s(self) -> float | None:
-        """Generous deadline for coherence ops (syncs, mirrors, rebalances):
-        these rebuild indexes and ship whole tables, so they get a wide
-        fixed multiple of the RPC deadline rather than a tau-scaled one."""
-        if self.rpc_deadline_ms is None:
-            return None
-        return max(30.0, 4.0 * self.rpc_deadline_ms / 1000.0)
-
-    # ------------------------------------------------------------------
-    # Supervision: death, respawn, breaker, rebalance
-    # ------------------------------------------------------------------
-    def _active_slots(self) -> list[SupervisedSlot]:
-        return [slot for slot in self._slots if not slot.retired]
-
-    def _record_death(self, slot: SupervisedSlot, error: Exception) -> None:
-        """Mark a slot's worker dead and schedule its (backed-off) respawn."""
-        handle, slot.handle = slot.handle, None
-        slot.deaths += 1
-        if handle is not None:
-            try:
-                handle.close(graceful=False)
-            except Exception:  # noqa: BLE001 - reaping is best-effort
-                pass
-        if self.stats.shards is not None:
-            self.stats.shards.record_death(slot.shard_id)
-        slot.next_spawn_at = time.monotonic() + slot.backoff_s
-        slot.backoff_s = min(
-            self.respawn_backoff_cap_s,
-            max(slot.backoff_s * 2.0, self.respawn_backoff_s),
-        )
-
     def _ensure_workers(self) -> None:
-        """Respawn dead slots past their backoff; retire exhausted ones.
+        """Respawn dead slots past their backoff; rebalance on retirement.
 
         Runs at the top of every plan/execute stage — never mid-batch, so
         a batch sees a stable fleet from classification through merge and
@@ -815,44 +502,22 @@ class ShardedMalivaService(MalivaService):
         """
         if self._closed:
             return
-        now = time.monotonic()
-        for slot in self._slots:
-            if slot.retired or slot.handle is not None:
-                continue
-            if slot.respawns >= self.max_respawns:
-                # Circuit breaker: the respawn budget is spent; stop
-                # flapping and shrink the fleet instead.
-                self._retire(slot)
-                continue
-            if now < slot.next_spawn_at:
-                continue
-            slot.respawns += 1
-            try:
-                self._respawn(slot)
-            except Exception:  # noqa: BLE001 - retry after backoff
-                slot.next_spawn_at = time.monotonic() + slot.backoff_s
-                slot.backoff_s = min(
-                    self.respawn_backoff_cap_s,
-                    max(slot.backoff_s * 2.0, self.respawn_backoff_s),
-                )
-                if slot.respawns >= self.max_respawns:
-                    self._retire(slot)
-        if self._rebalance_pending:
-            self._drain_rebalance()
+        _respawned, retired = self._fleet.ensure()
+        if retired:
+            self._rebalance()
 
-    def _respawn(self, slot: SupervisedSlot) -> None:
+    def _respawn_handle(self, slot: SupervisedSlot):
         """Warm-respawn one slot from the live catalog, bit-coherent."""
         active = self._active_slots()
-        rank = active.index(slot)
         owned = sorted(
             name
             for name, owner in self._table_owner.items()
-            if owner == slot.shard_id
+            if owner == slot.worker_id
         )
         spec = rebuild_shard_spec(
             self.maliva.database,
-            slot.shard_id,
-            rank,
+            slot.worker_id,
+            active.index(slot),
             len(active),
             self.shard_by,
             owned,
@@ -864,44 +529,11 @@ class ShardedMalivaService(MalivaService):
                 if planner_spec is not None:
                     handle.init_planner(planner_spec, self._probe_rpc)
         except Exception:
-            try:
-                handle.close(graceful=False)
-            except Exception:  # noqa: BLE001
-                pass
+            handle.close(graceful=False)
             raise
-        slot.handle = handle
-        slot.backoff_s = self.respawn_backoff_s
-        if self.stats.shards is not None:
-            self.stats.shards.record_respawn(slot.shard_id)
+        return handle
 
-    def _retire(self, slot: SupervisedSlot) -> None:
-        """Trip the breaker on one slot and queue a fleet rebalance."""
-        if slot.retired:
-            return
-        slot.retired = True
-        handle, slot.handle = slot.handle, None
-        if handle is not None:
-            try:
-                handle.close(graceful=False)
-            except Exception:  # noqa: BLE001
-                pass
-        if self.stats.shards is not None:
-            self.stats.shards.record_retired(slot.shard_id)
-        self._rebalance_pending = True
-
-    def _drain_rebalance(self) -> None:
-        """Run queued rebalances, absorbing retirements they trigger."""
-        if self._rebalancing:
-            return
-        self._rebalancing = True
-        try:
-            while self._rebalance_pending:
-                self._rebalance_pending = False
-                self._do_rebalance()
-        finally:
-            self._rebalancing = False
-
-    def _do_rebalance(self) -> None:
+    def _rebalance(self) -> None:
         """Re-partition the survivors after a breaker retirement.
 
         Rows modes re-slice every table at the new (smaller) arity —
@@ -910,8 +542,6 @@ class ShardedMalivaService(MalivaService):
         mode re-adopts orphaned base-table groups (base plus its
         samples, which must stay co-located) round-robin.
         """
-        if self._closed:
-            return
         if self.stats.shards is not None:
             self.stats.shards.n_rebalances += 1
         active = self._active_slots()
@@ -919,7 +549,7 @@ class ShardedMalivaService(MalivaService):
             # Whole fleet retired: every request recovers on the router.
             return
         database = self.maliva.database
-        deadline_s = self._setup_deadline_s()
+        deadline_s = self._fleet.setup_deadline_s()
         if rows_partitioned(self.shard_by):
             for name in sorted(database.table_names):
                 indexed = tuple(sorted(database.indexes_for(name)))
@@ -927,14 +557,12 @@ class ShardedMalivaService(MalivaService):
                     database, name, len(active), self.shard_by
                 )
                 for slot, fresh in zip(active, slices):
-                    if slot.handle is None:
-                        # A dead survivor respawns from the live catalog
-                        # at the new arity; no sync needed now.
-                        continue
-                    try:
-                        slot.handle.sync_table(fresh, indexed, deadline_s)
-                    except WorkerFault as error:
-                        self._record_death(slot, error)
+                    # A dead survivor respawns from the live catalog at the
+                    # new arity; no sync needed now.
+                    if slot.handle is not None:
+                        self._fleet.attempt(
+                            slot, lambda h: h.sync_table(fresh, indexed, deadline_s)
+                        )
             return
         orphaned = sorted(
             name
@@ -951,16 +579,14 @@ class ShardedMalivaService(MalivaService):
         for position, base in enumerate(sorted(groups)):
             slot = active[position % len(active)]
             for name in sorted(groups[base]):
-                self._table_owner[name] = slot.shard_id
+                self._table_owner[name] = slot.worker_id
                 if slot.handle is None:
                     continue
+                table = database.table(name)
                 indexed = tuple(sorted(database.indexes_for(name)))
-                try:
-                    slot.handle.sync_table(
-                        database.table(name), indexed, deadline_s
-                    )
-                except WorkerFault as error:
-                    self._record_death(slot, error)
+                self._fleet.attempt(
+                    slot, lambda h: h.sync_table(table, indexed, deadline_s)
+                )
 
     # ------------------------------------------------------------------
     # Cross-shard coherence
@@ -983,7 +609,7 @@ class ShardedMalivaService(MalivaService):
         if not database.has_table(table_name):  # pragma: no cover - dropped
             return
         indexed = tuple(sorted(database.indexes_for(table_name)))
-        deadline_s = self._setup_deadline_s()
+        deadline_s = self._fleet.setup_deadline_s()
         active = self._active_slots()
         if rows_partitioned(self.shard_by):
             if active:
@@ -991,37 +617,27 @@ class ShardedMalivaService(MalivaService):
                     database, table_name, len(active), self.shard_by
                 )
                 for slot, fresh in zip(active, slices):
-                    if slot.handle is None:
-                        # Dead slots skip the sync: their respawn rebuilds
-                        # from the live catalog and cannot go stale.
-                        continue
-                    try:
-                        slot.handle.sync_table(fresh, indexed, deadline_s)
-                    except WorkerFault as error:
-                        self._record_death(slot, error)
+                    # Dead slots skip the sync: their respawn rebuilds from
+                    # the live catalog and cannot go stale.
+                    if slot.handle is not None:
+                        self._fleet.attempt(
+                            slot, lambda h: h.sync_table(fresh, indexed, deadline_s)
+                        )
         else:
             owner = self._table_owner.get(table_name)
             if owner is not None:
                 slot = self._slots[owner]
                 if not slot.retired and slot.handle is not None:
-                    try:
-                        slot.handle.sync_table(
-                            database.table(table_name), indexed, deadline_s
-                        )
-                    except WorkerFault as error:
-                        self._record_death(slot, error)
+                    table = database.table(table_name)
+                    self._fleet.attempt(
+                        slot, lambda h: h.sync_table(table, indexed, deadline_s)
+                    )
         if self._plan_scattered:
             # Planner replicas carry their own copy of the mutated table's
             # header/sample/statistics state; every live worker refreshes
             # it (and evicts its decision mirror with it).
             sync = planner_sync_for(database, table_name)
-            for slot in active:
-                if slot.handle is None:
-                    continue
-                try:
-                    slot.handle.sync_planner(sync, deadline_s)
-                except WorkerFault as error:
-                    self._record_death(slot, error)
+            self._fleet.broadcast(lambda h: h.sync_planner(sync, deadline_s))
         if self.stats.shards is not None:
             self.stats.shards.n_syncs += 1
 
@@ -1061,9 +677,7 @@ class ShardedMalivaService(MalivaService):
             return decisions
         if self._plan_scattered:
             self._ensure_workers()
-        live = [
-            slot for slot in self._active_slots() if slot.handle is not None
-        ]
+        live = self._fleet.live_slots()
         if not self._plan_scattered or not live:
             if shard_stats is not None:
                 shard_stats.n_plan_fallback += len(queries)
@@ -1071,8 +685,8 @@ class ShardedMalivaService(MalivaService):
         per_slot: dict[int, list[int]] = {}
         for position in range(len(queries)):
             slot = live[position % len(live)]
-            per_slot.setdefault(slot.shard_id, []).append(position)
-        deadline_s = self._call_deadline_s(max(taus) if taus else None)
+            per_slot.setdefault(slot.worker_id, []).append(position)
+        deadline_s = self._fleet.call_deadline_s(max(taus) if taus else None)
         submitted: list[int] = []
         router_positions: list[int] = []
         for shard_id in sorted(per_slot):
@@ -1083,8 +697,8 @@ class ShardedMalivaService(MalivaService):
                     [queries[p] for p in positions],
                     [taus[p] for p in positions],
                 )
-            except WorkerFault as error:
-                self._record_death(slot, error)
+            except WorkerFault:
+                self._fleet.record_death(slot)
                 router_positions.extend(positions)
                 if shard_stats is not None:
                     shard_stats.record_plan_recovered(shard_id, len(positions))
@@ -1098,8 +712,8 @@ class ShardedMalivaService(MalivaService):
                 planned, wall_s, mirror_hits = slot.handle.collect_plan(
                     deadline_s, len(positions)
                 )
-            except WorkerFault as error:
-                self._record_death(slot, error)
+            except WorkerFault:
+                self._fleet.record_death(slot)
                 router_positions.extend(positions)
                 if shard_stats is not None:
                     shard_stats.record_plan_recovered(shard_id, len(positions))
@@ -1136,17 +750,10 @@ class ShardedMalivaService(MalivaService):
         ]
         if not items:
             return
-        deadline_s = self._setup_deadline_s()
-        delivered = False
-        for slot in self._active_slots():
-            if slot.handle is None:
-                continue
-            try:
-                slot.handle.mirror_decisions(items, deadline_s)
-            except WorkerFault as error:
-                self._record_death(slot, error)
-                continue
-            delivered = True
+        deadline_s = self._fleet.setup_deadline_s()
+        delivered = self._fleet.broadcast(
+            lambda h: h.mirror_decisions(items, deadline_s)
+        )
         if delivered and self.stats.shards is not None:
             self.stats.shards.n_mirrored_decisions += len(items)
 
@@ -1200,23 +807,10 @@ class ShardedMalivaService(MalivaService):
             await super()._execute_wait(token)
             return
         scatter = state.scatter_state
-        deadline_at = (
-            None
-            if scatter.deadline_s is None
-            else time.monotonic() + scatter.deadline_s
+        await await_replies(
+            [scatter.targets[shard_id][0] for shard_id, _ in scatter.round_ids],
+            scatter.deadline_s,
         )
-        while True:
-            pending = False
-            for shard_id, _expected in scatter.round_ids:
-                slot, _entries = scatter.targets[shard_id]
-                if slot.handle is not None and not slot.handle.reply_ready():
-                    pending = True
-                    break
-            if not pending:
-                return
-            if deadline_at is not None and time.monotonic() >= deadline_at:
-                return
-            await asyncio.sleep(0.0005)
 
     def _execute_finish(self, token: _InflightExecution) -> list[RequestOutcome]:
         state = token.state
@@ -1281,7 +875,7 @@ class ShardedMalivaService(MalivaService):
         if rows_mode and not scatter_ready:
             for slot in self._slots:
                 if slot.retired or slot.handle is None:
-                    blocking_shard = slot.shard_id
+                    blocking_shard = slot.worker_id
                     break
 
         # Classify the scheduled batch.  begin_execution consumes the
@@ -1341,8 +935,8 @@ class ShardedMalivaService(MalivaService):
         state.owner_positions = owner_positions
         state.fallback_indexes = fallback_indexes
         state.recovered = recovered
-        state.scatter_ids = sorted(slot.shard_id for slot in scatter_slots)
-        deadline_s = self._call_deadline_s(
+        state.scatter_ids = sorted(slot.worker_id for slot in scatter_slots)
+        deadline_s = self._fleet.call_deadline_s(
             max((resolved[i][1] for i in order), default=None)
         )
         state.scatter_state = self._scatter_begin(
@@ -1515,7 +1109,7 @@ class ShardedMalivaService(MalivaService):
         if scatter_slots is not None:
             if entries:
                 for slot in scatter_slots:
-                    targets[slot.shard_id] = (slot, entries)
+                    targets[slot.worker_id] = (slot, entries)
         else:
             for shard_id, shard_entries in per_owner_entries.items():
                 slot = self._slots[shard_id]
@@ -1545,8 +1139,8 @@ class ShardedMalivaService(MalivaService):
             )
             try:
                 slot.handle.submit_execute(shard_entries[offset:stop])
-            except WorkerFault as error:
-                self._record_death(slot, error)
+            except WorkerFault:
+                self._fleet.record_death(slot)
                 if state.rows_mode:
                     state.aborted = True
                 continue
@@ -1568,8 +1162,8 @@ class ShardedMalivaService(MalivaService):
             # whatever batch comes next.
             try:
                 reply = slot.handle.collect(state.deadline_s, expected)
-            except WorkerFault as error:
-                self._record_death(slot, error)
+            except WorkerFault:
+                self._fleet.record_death(slot)
                 if state.rows_mode:
                     state.aborted = True
                 continue

@@ -139,6 +139,20 @@ def test_invalid_stream_batch_size_rejected(serving_maliva):
 # ----------------------------------------------------------------------
 # Batched execute stage
 # ----------------------------------------------------------------------
+class _PerRequestExecuteService(MalivaService):
+    """Reference oracle: the same pipeline, but the execute stage runs one
+    :meth:`Maliva.finish` per request in scheduled order (no batching)."""
+
+    def _execute_stage(
+        self, requests, resolved, order, decisions, cached_flags, shared_s
+    ):
+        outcomes = [None] * len(requests)
+        for index in order:
+            query, tau_ms = resolved[index]
+            outcomes[index] = self.maliva.finish(query, decisions[index], tau_ms)
+        return outcomes
+
+
 def _assert_outcomes_identical(batched, sequential):
     assert len(batched) == len(sequential)
     for left, right in zip(batched, sequential):
@@ -159,18 +173,18 @@ def _assert_outcomes_identical(batched, sequential):
 def test_batched_execute_stage_matches_sequential_execute(
     serving_maliva, make_workload, scheduler_cls
 ):
-    """The execute stage's own equivalence: batch_execute on vs off produce
-    identical outcomes under either scheduler, and only the batched service
-    reports execute-stage sharing."""
+    """The execute stage's own equivalence: the batched execute stage and
+    per-request ``Maliva.finish`` calls produce identical outcomes under
+    either scheduler, and only the batched service reports execute-stage
+    sharing."""
     requests = make_workload(13, 24)
     batched_service = MalivaService(
         serving_maliva, translator=TWITTER_TRANSLATOR, scheduler=scheduler_cls()
     )
-    sequential_service = MalivaService(
+    sequential_service = _PerRequestExecuteService(
         serving_maliva,
         translator=TWITTER_TRANSLATOR,
         scheduler=scheduler_cls(),
-        batch_execute=False,
     )
     batched = batched_service.answer_many(requests)
     sequential = sequential_service.answer_many(requests)
@@ -240,8 +254,8 @@ def test_mutations_mid_stream_do_not_leak_stale_shared_state():
     maliva_b, stream_b = build_twin()
     assert [r.request_id for r in stream_a] == [r.request_id for r in stream_b]
     batched = maliva_a.service(translator=TWITTER_TRANSLATOR, stream_batch_size=6)
-    sequential = maliva_b.service(
-        translator=TWITTER_TRANSLATOR, stream_batch_size=6, batch_execute=False
+    sequential = _PerRequestExecuteService(
+        maliva_b, translator=TWITTER_TRANSLATOR, stream_batch_size=6
     )
     mutate_at = 8  # lands inside the second micro-batch's assembly
     served_a = [

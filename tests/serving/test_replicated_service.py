@@ -151,6 +151,73 @@ def test_router_failure_mid_serve_is_bit_identical(repl_twins, processes, kind):
         assert repl._journal.depth == 0
 
 
+def test_router_inline_hang_surfaces_as_timeout(repl_twins):
+    single_maliva, repl_maliva, stream = repl_twins
+    single = single_maliva.service(translator=TWITTER_TRANSLATOR)
+    plan = FaultPlan([FaultSpec(op="serve", kind="hang", shard_id=0, nth=1)])
+    repl = _replicated(
+        repl_maliva, n_routers=2, processes=False, fault_plan=plan
+    )
+    with repl:
+        for chunk in _chunks(stream[:10], 5):
+            _assert_outcomes_match(
+                single.answer_many(chunk), repl.answer_many(chunk)
+            )
+        routers = repl.stats.routers
+        assert routers is not None
+        assert routers.n_router_deaths >= 1
+        assert routers.n_respawns >= 1
+        assert repl._journal.depth == 0
+
+
+def test_router_hang_past_rpc_deadline_recovers(repl_twins):
+    """A real router process sleeping past the deadline is declared dead;
+    its sub-batch replays on the survivor and the slot respawns."""
+    single_maliva, repl_maliva, stream = repl_twins
+    single = single_maliva.service(translator=TWITTER_TRANSLATOR)
+    plan = FaultPlan([FaultSpec(op="serve", kind="hang", shard_id=1, nth=1)])
+    repl = _replicated(
+        repl_maliva,
+        n_routers=2,
+        processes=True,
+        rpc_deadline_ms=400.0,
+        deadline_tau_factor=0.0,
+        fault_plan=plan,
+    )
+    with repl:
+        chunk = stream[:5]
+        _assert_outcomes_match(
+            single.answer_many(chunk), repl.answer_many(chunk)
+        )
+        routers = repl.stats.routers
+        assert routers is not None
+        assert routers.n_router_deaths >= 1
+        assert routers.n_replayed >= 1
+        # Next batch: respawned and dispatching again.
+        _assert_outcomes_match(
+            single.answer_many(chunk), repl.answer_many(chunk)
+        )
+        assert routers.n_respawns >= 1
+        assert repl._journal.depth == 0
+
+
+def test_router_close_reaps_and_releases_fds(repl_twins):
+    """close() must reap a killed router and close its pipe — no FD leak
+    per death on the router tier either."""
+    _, repl_maliva, _ = repl_twins
+    repl = _replicated(repl_maliva, n_routers=2, processes=True)
+    handle = repl._fleet.slots[0].handle
+    process, conn = handle._process, handle._conn
+    process.kill()
+    process.join(timeout=5.0)
+    handle.close(graceful=True)  # router already dead: must not hang/raise
+    assert conn.closed
+    assert not process.is_alive()
+    repl.close()
+    for slot in repl._fleet.slots:
+        assert slot.handle is None
+
+
 def test_flapping_router_trips_breaker_and_rebalances(repl_twins):
     """A router that keeps dying exhausts its respawn budget, is retired
     by the breaker, its sessions rebalance, and admission's watermark
@@ -231,7 +298,7 @@ def test_killed_router_process_loses_zero_requests(repl_twins, scheduler_name):
             single.answer_many(chunk), repl.answer_many(chunk)
         )
         # Murder a live router out from under the dispatcher.
-        victim = repl._group.live_slots()[0]
+        victim = repl._fleet.live_slots()[0]
         victim.handle._process.kill()
         victim.handle._process.join(timeout=5.0)
         # The very next batch completes — zero requests lost, outcomes
@@ -279,7 +346,7 @@ def test_killed_router_async_stream_loses_zero_requests(
                 if len(pairs) == 5:
                     # First chunk landed; kill a live router while the
                     # pipeline is still streaming.
-                    victim = repl._group.live_slots()[0]
+                    victim = repl._fleet.live_slots()[0]
                     victim.handle._process.kill()
                     victim.handle._process.join(timeout=5.0)
         return pairs
@@ -420,7 +487,7 @@ def test_close_is_idempotent_and_reaps(repl_twins):
     with repl:
         repl.answer_many(stream[:4])
         processes = [
-            slot.handle._process for slot in repl._group.live_slots()
+            slot.handle._process for slot in repl._fleet.live_slots()
         ]
     repl.close()  # second close: no-op
     for process in processes:

@@ -132,7 +132,7 @@ class Maliva:
 
         One q-network forward pass per MDP depth and one fused selectivity
         pass per depth serve the whole batch; see
-        :meth:`MDPQueryRewriter.plan_batch`.
+        :meth:`MDPQueryRewriter.rewrite_batch`.
         """
         if self._rewriter is None:
             raise TrainingError("Maliva.train() must be called before use")

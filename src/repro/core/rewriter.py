@@ -6,7 +6,7 @@ its time (paying the cost on the virtual clock), and stops as soon as one of
 the termination conditions fires.  The decided rewritten query and the
 planning time spent finding it are returned to the middleware.
 
-:meth:`MDPQueryRewriter.plan_batch` runs the same algorithm for many
+:meth:`MDPQueryRewriter.rewrite_batch` runs the same algorithm for many
 requests in lockstep: every request still walks its own MDP episode, but
 the per-step work is batched across the active frontier — one q-network
 forward pass per MDP depth (instead of one per request per step) and one

@@ -1,11 +1,14 @@
-"""Batch-vectorized plan execution with shared scan / index / binning work.
+"""The engine's one execution pipeline, with shared scan / index / binning work.
 
-``BatchExecutor.execute`` answers a whole batch of (already rewritten)
-queries with the exact observable behaviour of ``[db.execute(q) for q in
-queries]`` — bit-identical result rows and bins, work counters, virtual
-``base_ms``/``execution_ms``, per-request engine-cache hit/miss deltas, and
-post-batch cache state — while doing the underlying computation once per
-*distinct* piece of work instead of once per request:
+Every engine execution runs here: ``Database.execute`` is a batch of one,
+and ``execute_planned``/``true_execution_time_ms``/``true_result`` run the
+same row/counter pipeline on a given plan.  ``BatchExecutor.execute``
+answers a batch of (already rewritten) queries with bit-identical result
+rows and bins, work counters, virtual ``base_ms``/``execution_ms``,
+per-request engine-cache hit/miss deltas, and post-batch cache and RNG
+state to executing them one at a time in order — while doing the
+underlying computation once per *distinct* piece of work instead of once
+per request:
 
 * **fused index probes** — every distinct index probe the batch needs is
   computed in one vectorized :meth:`~repro.db.indexes.base.Index.
@@ -21,18 +24,17 @@ post-batch cache state — while doing the underlying computation once per
 
 The engine's observable state stays identical because the *instrumented
 cache protocol is replayed, not bypassed*: for every request, in scheduled
-order, the executor issues the same cache get/put sequence the sequential
-path would (``_BatchAccess``), substituting precomputed values only where
-the sequential path would have computed them on a miss.  Profile effects
-(buffer-cache warming, instability, noise) are applied per request in order
-through the same ``Database._apply_profile_effects``, so even the RNG stream
-is consumed identically.
+order, the executor issues the same cache get/put sequence a request run
+alone would (through ``Database._cached_probe``), supplying precomputed
+values only where the protocol would have computed them on a miss.
 
-When the engine profile can ignore hints (``hint_ignore_prob > 0`` with
-hinted queries), the obey/noise RNG draws interleave per request; the
-executor then falls back to a fully in-order pipeline that keeps all the
-sharing memos but skips the phase-separated fused sweeps — still
-bit-identical, for every profile.
+Engine randomness is drawn up front.  How many draws a request consumes
+depends only on its hints and the profile (``Database._engine_draws``),
+never on its plan or data, so the executor draws every request's obey,
+instability and noise values in scheduled order — the exact stream
+request-at-a-time execution consumes — and then runs the phase-separated
+pipeline for every profile.  Profile effects (buffer-cache warming,
+instability, noise) are applied per request in order from those draws.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..errors import SchemaError
 from .binning import bin_counts_many
 from .cost_model import WorkCounters
 from .executor import EngineAccess, ExecutionResult
@@ -51,7 +52,7 @@ from .query import BinGroupBy, SelectQuery
 from .rowset import RowSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .database import Database
+    from .database import Database, EngineDraws
     from .indexes import IndexLookup
 
 
@@ -60,20 +61,17 @@ class BatchSharingStats:
     """How much work one ``execute_batch`` call shared across its requests."""
 
     n_queries: int = 0
-    #: Whether the phase-separated fused path ran (vs the in-order fallback
-    #: used when hint-ignore RNG draws must interleave with execution).
-    fused: bool = False
     #: Distinct (table, access-path signature) groups in the batch.
     n_plan_groups: int = 0
     #: Distinct (scan, join, limit) pipelines actually executed.
     n_distinct_scans: int = 0
     #: Requests whose row selection came from the batch scan memo.
     shared_scans: int = 0
-    #: Distinct index probes computed for this batch ...
+    #: Distinct index probes the batch's sweeps computed ...
     n_probes_computed: int = 0
     #: ... and how many vectorized lookup_batch sweeps computed them.
     n_probe_sweeps: int = 0
-    #: Distinct predicate row sets materialized for this batch.
+    #: Distinct predicate row sets the batch's sweeps materialized.
     n_matches_computed: int = 0
     #: Fused (table, bin grid) histogram sweeps ...
     n_bin_sweeps: int = 0
@@ -85,7 +83,6 @@ class BatchSharingStats:
     def to_dict(self) -> dict:
         return {
             "n_queries": self.n_queries,
-            "fused": self.fused,
             "n_plan_groups": self.n_plan_groups,
             "n_distinct_scans": self.n_distinct_scans,
             "shared_scans": self.shared_scans,
@@ -100,7 +97,6 @@ class BatchSharingStats:
     def merge(self, other: "BatchSharingStats") -> None:
         """Accumulate another batch's counters (service-level aggregation)."""
         self.n_queries += other.n_queries
-        self.fused = self.fused or other.fused
         self.n_plan_groups += other.n_plan_groups
         self.n_distinct_scans += other.n_distinct_scans
         self.shared_scans += other.shared_scans
@@ -113,56 +109,32 @@ class BatchSharingStats:
 
 
 class _BatchAccess(EngineAccess):
-    """Protocol-faithful engine access with batch-level value sharing.
+    """Engine access that supplies the batch's precomputed probe values.
 
-    Drives the database's instrumented caches through exactly the get/put
-    sequence ``Database.match_rowset`` / ``Database.index_lookup`` would,
-    but on a miss consults the batch's precomputed values before falling
-    back to the per-predicate compute path.  Access-path row sets are shared
-    across the batch so each predicate's bitmap materializes at most once.
+    Both probes go through the database's one cache protocol, so every
+    request drives the instrumented caches exactly as a request run alone
+    would; on a miss the protocol takes the value this batch's sweeps
+    precomputed.  Access-path row sets are shared across the batch so each
+    predicate's bitmap materializes at most once.
     """
 
-    def __init__(self, database: "Database", stats: BatchSharingStats) -> None:
+    def __init__(self, database: "Database") -> None:
         super().__init__(database)
-        self.lookup_values: dict[tuple, "IndexLookup"] = {}
-        self.match_values: dict[tuple, RowSet] = {}
+        self.lookups: dict[tuple, "IndexLookup"] = {}
+        self.matches: dict[tuple, RowSet] = {}
         self._access_rowsets: dict[tuple, RowSet] = {}
-        self._stats = stats
 
     def index_lookup(self, table_name: str, predicate) -> "IndexLookup":
-        key = (table_name, predicate.key())
-        cached = self._db._lookup_cache.get(key)
-        if cached is not None:
-            return cached
-        lookup = self.lookup_values.get(key)
-        if lookup is None:
-            index = self._db.index(table_name, predicate.column)
-            if index is None or not index.supports(predicate):
-                raise SchemaError(
-                    f"no index supports predicate {predicate!r} on {table_name!r}"
-                )
-            lookup = index.lookup(predicate)
-            self._stats.n_probes_computed += 1
-        self._db._lookup_cache.put(key, lookup, tags=[table_name])
-        return lookup
+        db = self._db
+        return db._cached_probe(
+            db._lookup_cache, db._compute_lookup, table_name, predicate, self.lookups
+        )
 
     def match_rowset(self, table_name: str, predicate) -> RowSet:
-        key = (table_name, predicate.key())
-        cached = self._db._match_cache.get(key)
-        if cached is not None:
-            return cached
-        rowset = self.match_values.get(key)
-        if rowset is None:
-            table = self._db.table(table_name)
-            index = self._db.index(table_name, predicate.column)
-            if index is not None and index.supports(predicate):
-                rowset = RowSet.from_ids(index.lookup(predicate).row_ids, table.n_rows)
-                rowset.mask  # bitmap intersections for the whole batch
-            else:
-                rowset = predicate.matching_rowset(table)
-            self._stats.n_matches_computed += 1
-        self._db._match_cache.put(key, rowset, tags=[table_name])
-        return rowset
+        db = self._db
+        return db._cached_probe(
+            db._match_cache, db._compute_match, table_name, predicate, self.matches
+        )
 
     def access_rowset(self, table_name: str, predicate, lookup) -> RowSet:
         key = (table_name, predicate.key())
@@ -184,15 +156,18 @@ class _Pending:
     """Per-request execution state carried between pipeline phases."""
 
     query: SelectQuery
-    obeyed: bool = True
-    plan: PhysicalPlan | None = None
+    plan: PhysicalPlan
+    #: The request's engine draws (None for plan-given, draw-free runs).
+    draws: "EngineDraws | None" = None
     plan_cached: bool = False
-    scan_key: tuple | None = None
+    scan_key: tuple = ()
     scan_counters: dict[str, float] | None = None
     result_ids: np.ndarray | None = None
+    counters: WorkCounters | None = None
+    row_ids: np.ndarray | None = None
+    bins: dict[int, float] | None = None
     cache_hits: int = 0
     cache_misses: int = 0
-    result: ExecutionResult | None = None
 
 
 class BatchExecutor:
@@ -201,7 +176,7 @@ class BatchExecutor:
     def __init__(self, database: "Database") -> None:
         self._db = database
         self._stats = BatchSharingStats()
-        self._access = _BatchAccess(database, self._stats)
+        self._access = _BatchAccess(database)
         self._scan_memo: dict[tuple, tuple[dict[str, float], np.ndarray]] = {}
         self._bin_memo: dict[tuple, dict[int, float]] = {}
         self._bins_served: set[tuple] = set()
@@ -213,74 +188,84 @@ class BatchExecutor:
     ) -> tuple[list[ExecutionResult], BatchSharingStats]:
         """Execute ``queries`` in order; see the module docstring for the
         equivalence contract.  Returns (results, sharing statistics)."""
-        pending = [_Pending(query=query) for query in queries]
+        db = self._db
+        draws = [db._engine_draws(query.hints is not None) for query in queries]
+        pending = [
+            self._planned(query, request_draws)
+            for query, request_draws in zip(queries, draws)
+        ]
         self._stats.n_queries = len(pending)
-        if not pending:
-            return [], self._stats
-
-        profile = self._db.profile
-        can_fuse = profile.hint_ignore_prob <= 0 or all(
-            item.query.hints is None for item in pending
-        )
-        if can_fuse:
-            self._stats.fused = True
-            for item in pending:
-                self._plan_one(item)
-            self._precompute_probes(pending)
-            for item in pending:
-                self._scan_one(item)
-            self._fused_bins(pending)
-            for item in pending:
-                self._finish_one(item)
-        else:
-            # Obey-hint draws interleave with noise draws per request, so
-            # the whole pipeline runs request-at-a-time (memos still share).
-            for item in pending:
-                self._draw_obeyed(item)
-                self._plan_one(item)
-                self._scan_one(item)
-                self._finish_one(item)
+        self._run(pending)
         self._count_plan_groups(pending)
-        results = [item.result for item in pending]
-        assert all(result is not None for result in results)
-        return results, self._stats  # type: ignore[return-value]
+        results = []
+        for item in pending:
+            assert item.counters is not None and item.draws is not None
+            results.append(
+                db._timed_result(
+                    item.plan,
+                    item.counters,
+                    item.row_ids,
+                    item.bins,
+                    item.draws,
+                    obeyed=item.draws.obeyed,
+                    was_planned=item.plan_cached,
+                    cache_hits=item.cache_hits,
+                    cache_misses=item.cache_misses,
+                )
+            )
+        return results, self._stats
+
+    def run_planned(self, query: SelectQuery, plan: PhysicalPlan) -> _Pending:
+        """Rows and work counters of ``query`` under an already-chosen plan:
+        the same pipeline, drawing nothing and applying no profile effects."""
+        item = _Pending(query=query, plan=plan)
+        self._run([item])
+        return item
 
     # ------------------------------------------------------------------
-    # Pipeline phases (each mirrors one slice of Database.execute)
+    # Pipeline phases
     # ------------------------------------------------------------------
-    def _draw_obeyed(self, item: _Pending) -> None:
-        profile = self._db.profile
-        if item.query.hints is not None and profile.hint_ignore_prob > 0:
-            item.obeyed = self._db._rng.random() >= profile.hint_ignore_prob
-
-    def _plan_one(self, item: _Pending) -> None:
+    def _planned(self, query: SelectQuery, draws: "EngineDraws") -> _Pending:
         db = self._db
         before = db._cache_counts()
-        item.plan_cached = (item.query.key(), item.obeyed) in db._plan_cache
-        item.plan = db._planned(item.query, item.obeyed)
-        item.scan_key = (item.plan.scan, item.plan.join, item.plan.limit)
+        plan_cached = (query.key(), draws.obeyed) in db._plan_cache
+        plan = db._planned(query, draws.obeyed)
         hits, misses = db._cache_delta(before)
-        item.cache_hits += hits
-        item.cache_misses += misses
+        return _Pending(
+            query=query,
+            plan=plan,
+            draws=draws,
+            plan_cached=plan_cached,
+            cache_hits=hits,
+            cache_misses=misses,
+        )
+
+    def _run(self, pending: list[_Pending]) -> None:
+        """Rows, bins and counters for planned requests, in phase order."""
+        for item in pending:
+            item.scan_key = (item.plan.scan, item.plan.join, item.plan.limit)
+        self._precompute_probes(pending)
+        for item in pending:
+            self._scan_one(item)
+        self._fused_bins(pending)
+        for item in pending:
+            self._finish_one(item)
 
     def _scan_one(self, item: _Pending) -> None:
         db = self._db
-        plan = item.plan
-        assert plan is not None and item.scan_key is not None
         before = db._cache_counts()
         memo = self._scan_memo.get(item.scan_key)
         if memo is not None:
-            self._replay_accesses(plan)
-            item.scan_counters, item.result_ids = memo
+            self._replay_accesses(item.plan)
             self._stats.shared_scans += 1
         else:
             counters, result_ids, _cards = db._executor.scan_rows(
-                plan, access=self._access
+                item.plan, access=self._access
             )
             memo = (counters.as_dict(), result_ids)
             self._scan_memo[item.scan_key] = memo
-            item.scan_counters, item.result_ids = memo
             self._stats.n_distinct_scans += 1
+        item.scan_counters, item.result_ids = memo
         hits, misses = db._cache_delta(before)
         item.cache_hits += hits
         item.cache_misses += misses
@@ -289,8 +274,9 @@ class BatchExecutor:
         """Issue the cache gets a memo-hit scan would have issued anyway.
 
         This is what keeps per-request hit/miss deltas and LRU state
-        bit-identical to sequential execution: the engine caches see the
-        same operation sequence, only the pure row-selection math is reused.
+        bit-identical to request-at-a-time execution: the engine caches see
+        the same operation sequence, only the pure row-selection math is
+        reused.
         """
         scan = plan.scan
         if not scan.is_full_scan:
@@ -307,7 +293,6 @@ class BatchExecutor:
         groups: dict[tuple[str, BinGroupBy], dict[tuple, np.ndarray]] = {}
         for item in pending:
             plan = item.plan
-            assert plan is not None and item.scan_key is not None
             if plan.group_by is None:
                 continue
             bin_key = (item.scan_key, plan.group_by)
@@ -318,76 +303,41 @@ class BatchExecutor:
                 assert item.result_ids is not None
                 group[bin_key] = item.result_ids
         for (table_name, group_by), members in groups.items():
-            layout, weight = self._weighted_layout(table_name, group_by)
-            histograms = bin_counts_many(layout, list(members.values()), weight=weight)
+            table = self._db.table(table_name)
+            weight = 1.0 / table.sample_fraction if table.sample_fraction else 1.0
+            histograms = bin_counts_many(
+                self._db.bin_layout(table_name, group_by),
+                list(members.values()),
+                weight=weight,
+            )
             for bin_key, bins in zip(members.keys(), histograms):
                 self._bin_memo[bin_key] = bins
             self._stats.n_bin_sweeps += 1
             self._stats.n_bin_results += len(members)
 
-    def _weighted_layout(self, table_name: str, group_by: BinGroupBy):
-        """The (layout, sample-scale weight) pair both binning paths share —
-        one derivation so the fused and fallback histograms cannot drift."""
-        table = self._db.table(table_name)
-        weight = 1.0
-        if table.sample_fraction:
-            weight = 1.0 / table.sample_fraction
-        return self._db.bin_layout(table_name, group_by), weight
-
-    def _bins_for(self, item: _Pending) -> dict[int, float]:
-        plan = item.plan
-        assert plan is not None and plan.group_by is not None
-        bin_key = (item.scan_key, plan.group_by)
-        bins = self._bin_memo.get(bin_key)
-        if bins is None:
-            layout, weight = self._weighted_layout(plan.scan.table, plan.group_by)
-            assert item.result_ids is not None
-            bins = bin_counts_many(layout, [item.result_ids], weight=weight)[0]
-            self._bin_memo[bin_key] = bins
-            self._stats.n_bin_sweeps += 1
-            self._stats.n_bin_results += 1
-        if bin_key in self._bins_served:
-            self._stats.shared_bins += 1
-        else:
-            self._bins_served.add(bin_key)
-        return bins
-
     def _finish_one(self, item: _Pending) -> None:
-        """Aggregation/projection, cost conversion, and profile effects —
-        the tail of ``Database.execute``, per request in batch order."""
-        db = self._db
+        """Aggregation/projection: the request's result and final counters."""
         plan = item.plan
-        assert plan is not None
         assert item.scan_counters is not None and item.result_ids is not None
         counters = WorkCounters(**item.scan_counters)
         if plan.group_by is not None:
             counters.group_rows += len(item.result_ids)
-            bins = self._bins_for(item)
+            bin_key = (item.scan_key, plan.group_by)
+            bins = self._bin_memo[bin_key]
+            if bin_key in self._bins_served:
+                self._stats.shared_bins += 1
+            else:
+                self._bins_served.add(bin_key)
             counters.output_rows += len(bins)
-            row_ids: np.ndarray | None = None
-            bins = dict(bins)
+            item.bins = dict(bins)
         else:
             counters.output_rows += len(item.result_ids)
-            row_ids = self._row_memo.get(item.scan_key)  # type: ignore[arg-type]
+            row_ids = self._row_memo.get(item.scan_key)
             if row_ids is None:
-                table = db.table(plan.scan.table)
-                row_ids = table.to_base_ids(item.result_ids)
-                self._row_memo[item.scan_key] = row_ids  # type: ignore[index]
-            bins = None
-        base_ms = db.cost_model.time_ms(counters)
-        execution_ms = db._apply_profile_effects(base_ms, plan)
-        item.result = ExecutionResult(
-            plan=plan,
-            counters=counters,
-            base_ms=base_ms,
-            execution_ms=execution_ms,
-            row_ids=row_ids,
-            bins=bins,
-            obeyed_hints=item.obeyed,
-            cache_hits=item.cache_hits,
-            cache_misses=item.cache_misses,
-            plan_cached=item.plan_cached,
-        )
+                row_ids = self._db.table(plan.scan.table).to_base_ids(item.result_ids)
+                self._row_memo[item.scan_key] = row_ids
+            item.row_ids = row_ids
+        item.counters = counters
 
     # ------------------------------------------------------------------
     # Fused precompute
@@ -406,7 +356,6 @@ class BatchExecutor:
         seen_scans: set[tuple] = set()
         for item in pending:
             plan = item.plan
-            assert plan is not None and item.scan_key is not None
             if item.scan_key in seen_scans:
                 continue
             seen_scans.add(item.scan_key)
@@ -441,23 +390,23 @@ class BatchExecutor:
                     (key, predicate, False)
                 )
             else:
-                self._access.match_values[key] = predicate.matching_rowset(
+                self._access.matches[key] = predicate.matching_rowset(
                     db.table(table_name)
                 )
                 self._stats.n_matches_computed += 1
-        for (table_name, _column), entries in sweeps.items():
-            index = db.index(table_name, entries[0][1].column)
+        for (table_name, column), entries in sweeps.items():
+            index = db.index(table_name, column)
             assert index is not None
             lookups = index.lookup_batch([predicate for _, predicate, _ in entries])
             n_rows = db.table(table_name).n_rows
             for (key, _predicate, is_lookup), lookup in zip(entries, lookups):
                 if is_lookup:
-                    self._access.lookup_values[key] = lookup
+                    self._access.lookups[key] = lookup
                     self._stats.n_probes_computed += 1
                 else:
                     rowset = RowSet.from_ids(lookup.row_ids, n_rows)
                     rowset.mask  # bitmap intersections for the whole batch
-                    self._access.match_values[key] = rowset
+                    self._access.matches[key] = rowset
                     self._stats.n_matches_computed += 1
             self._stats.n_probe_sweeps += 1
 
@@ -465,7 +414,6 @@ class BatchExecutor:
         groups = set()
         for item in pending:
             plan = item.plan
-            assert plan is not None
             signature = tuple(
                 (path.index_kind, path.predicate.column) for path in plan.scan.access
             )

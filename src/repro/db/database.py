@@ -1,9 +1,20 @@
 """The database: catalog, optimizer, executor, and engine behaviour profiles.
 
 This is the black-box "backend database" of the paper's architecture.  The
-middleware only ever talks to it through :meth:`Database.execute` (run a
-query, hints honoured with high probability) and — for the oracle QTE and
-experiment bookkeeping — :meth:`Database.true_execution_time_ms`.
+middleware only ever talks to it through :meth:`Database.execute` /
+:meth:`Database.execute_batch` (run queries, hints honoured with high
+probability) and — for the oracle QTE and experiment bookkeeping —
+:meth:`Database.true_execution_time_ms`.
+
+Every execution runs through one pipeline, the batch executor
+(``batch_executor.py``): ``execute`` is a batch of one, and
+``execute_planned``/``true_execution_time_ms``/``true_result`` run its
+row/counter pipeline on a given plan.  The engine's randomness follows one
+rule (:meth:`Database._engine_draws`): per request, an obey uniform if the
+query is hinted and the profile can ignore hints, an instability uniform if
+the profile is unstable, and a noise normal if it is noisy — a count that
+depends only on hints and profile, so a batch draws every request's values
+up front in the order request-at-a-time execution would.
 
 Simulated-engine profiles capture the behavioural differences the paper
 observed:
@@ -30,15 +41,14 @@ import numpy as np
 from ..errors import SchemaError
 from .batch_executor import BatchExecutor, BatchSharingStats
 from .binning import BinLayout, build_bin_layout
-from .caches import CacheStats, CacheStatsReport, InstrumentedCache
-from .cost_model import CostModel
+from .caches import CacheStatsReport, InstrumentedCache
+from .cost_model import CostModel, WorkCounters
 from .executor import ExecutionResult, Executor
-from .query import BinGroupBy
 from .indexes import GridIndex, Index, IndexLookup, InvertedIndex, SortedIndex
 from .optimizer import Optimizer
 from .plans import PhysicalPlan
 from .predicates import Predicate
-from .query import SelectQuery
+from .query import BinGroupBy, SelectQuery
 from .rowset import RowSet, intersect_all
 from .statistics import StatisticsConfig, TableStatistics
 from .table import Table
@@ -96,6 +106,18 @@ class SimProfile:
 EngineProfile = SimProfile
 
 
+@dataclass(frozen=True)
+class EngineDraws:
+    """One request's engine randomness (see :meth:`Database._engine_draws`)."""
+
+    #: False when the engine decided to ignore the query's hints.
+    obeyed: bool = True
+    #: Whether this run is a sporadic slow one (dynamic plan change).
+    slow: bool = False
+    #: Standard-normal draw behind the multiplicative time noise.
+    noise: float = 0.0
+
+
 class Database:
     """In-memory database with a cost-based optimizer and virtual timing."""
 
@@ -128,9 +150,9 @@ class Database:
         # (table, predicate) pairs on every estimate of every request.
         self._estimate_cache = InstrumentedCache("estimate", capacity=4096)
         # Precomputed whole-column BIN_ID layouts shared by aggregate
-        # queries.  Deliberately uninstrumented (like the key cache): both
-        # the sequential and the batched executor may consult it without
-        # perturbing the per-request cache hit/miss accounting.
+        # queries.  Deliberately uninstrumented (like the key cache): the
+        # executor consults it without perturbing the per-request cache
+        # hit/miss accounting.
         self._bin_layout_cache: dict[tuple, BinLayout] = {}
         self._warm_structures: OrderedDict = OrderedDict()
         #: Callables invoked with the table name whenever a table is
@@ -261,19 +283,39 @@ class Database:
             tags.append(query.join.table)
         self._plan_cache.put((query.key(), obey_hints), plan, tags=tags)
 
+    def _engine_draws(self, hinted: bool, effects: bool = True) -> EngineDraws:
+        """Draw one request's engine randomness, in consumption order.
+
+        The engine's one draw rule.  A request consumes an obey uniform only
+        if it is ``hinted`` and the profile can ignore hints, then an
+        instability uniform if ``instability_prob > 0``, then a noise normal
+        if ``noise_sigma > 0`` — a count that depends only on hints and
+        profile, never on the plan or data.  ``effects=False`` draws only
+        the obey uniform: the planning half (:meth:`begin_execution`),
+        whose effects :meth:`complete_execution` draws later.
+        """
+        profile = self.profile
+        obeyed = True
+        if hinted and profile.hint_ignore_prob > 0:
+            obeyed = self._rng.random() >= profile.hint_ignore_prob
+        slow = False
+        noise = 0.0
+        if effects:
+            if profile.instability_prob > 0:
+                slow = self._rng.random() < profile.instability_prob
+            if profile.noise_sigma > 0:
+                noise = self._rng.standard_normal()
+        return EngineDraws(obeyed=obeyed, slow=slow, noise=noise)
+
     def begin_execution(self, query: SelectQuery) -> tuple[PhysicalPlan, bool, bool]:
         """The planning half of :meth:`execute`: ``(plan, obeyed, was_planned)``.
 
         Draws the hint-obey decision from the engine RNG and plans the query
-        accordingly — exactly the state transitions :meth:`execute` performs
-        before touching the executor.  The shard router uses this to produce
-        the canonical plan it scatters, so a scattered query consumes the
-        same RNG draw and plan-cache sequence a single-engine execution
-        would.
+        accordingly.  The shard router uses this to produce the canonical
+        plan it scatters: it plans a whole batch first and draws each
+        request's profile effects in :meth:`complete_execution` afterwards.
         """
-        obeyed = True
-        if query.hints is not None and self.profile.hint_ignore_prob > 0:
-            obeyed = self._rng.random() >= self.profile.hint_ignore_prob
+        obeyed = self._engine_draws(query.hints is not None, effects=False).obeyed
         was_planned = (query.key(), obeyed) in self._plan_cache
         plan = self._planned(query, obeyed)
         return plan, obeyed, was_planned
@@ -292,18 +334,44 @@ class Database:
     ) -> ExecutionResult:
         """The accounting half of :meth:`execute`: counters → timed result.
 
-        Converts work counters to ``base_ms`` and applies this engine's
-        profile effects (buffer-cache warming, instability, noise — and
-        their RNG draws).  The shard router calls this on gathered/merged
-        scatter output so virtual timing is charged by one engine, once.
+        Draws this request's profile effects from the engine RNG, converts
+        work counters to ``base_ms`` and applies the effects (buffer-cache
+        warming, instability, noise).  The shard router calls this on
+        gathered/merged scatter output so virtual timing is charged by one
+        engine, once.
         """
+        return self._timed_result(
+            plan,
+            counters,
+            row_ids,
+            bins,
+            self._engine_draws(hinted=False),
+            obeyed=obeyed,
+            was_planned=was_planned,
+            cache_hits=cache_hits,
+            cache_misses=cache_misses,
+        )
+
+    def _timed_result(
+        self,
+        plan: PhysicalPlan,
+        counters: WorkCounters,
+        row_ids: np.ndarray | None,
+        bins: dict[int, float] | None,
+        draws: EngineDraws,
+        *,
+        obeyed: bool,
+        was_planned: bool,
+        cache_hits: int,
+        cache_misses: int,
+    ) -> ExecutionResult:
+        """Counters → timed result, applying ``draws``' profile effects."""
         base_ms = self.cost_model.time_ms(counters)
-        execution_ms = self._apply_profile_effects(base_ms, plan)
         return ExecutionResult(
             plan=plan,
             counters=counters,
             base_ms=base_ms,
-            execution_ms=execution_ms,
+            execution_ms=self._apply_profile_effects(base_ms, plan, draws),
             row_ids=row_ids,
             bins=bins,
             obeyed_hints=obeyed,
@@ -323,45 +391,34 @@ class Database:
         """Run an already-produced plan: the executor half of :meth:`execute`.
 
         The shard router uses this for fallback queries whose plan (and
-        hint-obey draw) :meth:`begin_execution` already consumed.
+        hint-obey draw) :meth:`begin_execution` already consumed; the
+        profile effects are drawn by :meth:`complete_execution`.
         """
-        before = self._cache_counts()
-        counters, row_ids, bins = self._executor.run(plan, query)
-        hits, misses = self._cache_delta(before)
+        run = BatchExecutor(self).run_planned(query, plan)
+        assert run.counters is not None
         return self.complete_execution(
             plan,
-            counters,
-            row_ids,
-            bins,
+            run.counters,
+            run.row_ids,
+            run.bins,
             obeyed=obeyed,
             was_planned=was_planned,
-            cache_hits=hits,
-            cache_misses=misses,
+            cache_hits=run.cache_hits,
+            cache_misses=run.cache_misses,
         )
 
     def execute(self, query: SelectQuery) -> ExecutionResult:
-        """Plan and run a query, with profile noise/caching effects applied."""
-        before = self._cache_counts()
-        plan, obeyed, was_planned = self.begin_execution(query)
-        counters, row_ids, bins = self._executor.run(plan, query)
-        hits, misses = self._cache_delta(before)
-        return self.complete_execution(
-            plan,
-            counters,
-            row_ids,
-            bins,
-            obeyed=obeyed,
-            was_planned=was_planned,
-            cache_hits=hits,
-            cache_misses=misses,
-        )
+        """Plan and run a query, with profile noise/caching effects applied:
+        a batch of one."""
+        results, _sharing = self.execute_batch([query])
+        return results[0]
 
     def execute_batch(
         self, queries: Sequence[SelectQuery]
     ) -> tuple[list[ExecutionResult], BatchSharingStats]:
         """Execute many queries with cross-request work sharing.
 
-        Observably equivalent to ``[self.execute(q) for q in queries]`` —
+        Observably equivalent to executing each query alone, in order —
         bit-identical results, work counters, virtual times, per-request
         cache hit/miss deltas, and post-call cache/RNG state — while each
         distinct index probe, predicate row set, scan pipeline, and BIN_ID
@@ -395,8 +452,9 @@ class Database:
         if cached is not None:
             return cached
         plan = self._planned(query, obey_hints=True)
-        counters, _, _ = self._executor.run(plan, query)
-        time_ms = self.cost_model.time_ms(counters)
+        run = BatchExecutor(self).run_planned(query, plan)
+        assert run.counters is not None
+        time_ms = self.cost_model.time_ms(run.counters)
         tags = [query.table]
         if query.join is not None:
             tags.append(query.join.table)
@@ -406,18 +464,21 @@ class Database:
     def true_result(self, query: SelectQuery) -> ExecutionResult:
         """Noiseless execution (used offline, e.g. for quality rewards)."""
         plan = self._planned(query, obey_hints=True)
-        counters, row_ids, bins = self._executor.run(plan, query)
-        base_ms = self.cost_model.time_ms(counters)
+        run = BatchExecutor(self).run_planned(query, plan)
+        assert run.counters is not None
+        base_ms = self.cost_model.time_ms(run.counters)
         return ExecutionResult(
             plan=plan,
-            counters=counters,
+            counters=run.counters,
             base_ms=base_ms,
             execution_ms=base_ms,
-            row_ids=row_ids,
-            bins=bins,
+            row_ids=run.row_ids,
+            bins=run.bins,
         )
 
-    def _apply_profile_effects(self, base_ms: float, plan: PhysicalPlan) -> float:
+    def _apply_profile_effects(
+        self, base_ms: float, plan: PhysicalPlan, draws: EngineDraws
+    ) -> float:
         profile = self.profile
         time_ms = base_ms
         if profile.buffer_cache:
@@ -432,10 +493,10 @@ class Database:
                 self._warm_structures.move_to_end(structure)
             while len(self._warm_structures) > 8:
                 self._warm_structures.popitem(last=False)
-        if profile.instability_prob > 0 and self._rng.random() < profile.instability_prob:
+        if draws.slow:
             time_ms *= profile.instability_factor
         if profile.noise_sigma > 0:
-            time_ms *= float(np.exp(profile.noise_sigma * self._rng.standard_normal()))
+            time_ms *= float(np.exp(profile.noise_sigma * draws.noise))
         return time_ms
 
     def _touched_structures(self, plan: PhysicalPlan) -> list[tuple[str, str]]:
@@ -458,18 +519,9 @@ class Database:
         of its two representations later consumers materialize) is shared
         across every request that filters on the same condition.
         """
-        key = (table_name, predicate.key())
-        cached = self._match_cache.get(key)
-        if cached is not None:
-            return cached
-        table = self.table(table_name)
-        index = self.index(table_name, predicate.column)
-        if index is not None and index.supports(predicate):
-            rowset = RowSet.from_ids(index.lookup(predicate).row_ids, table.n_rows)
-        else:
-            rowset = predicate.matching_rowset(table)
-        self._match_cache.put(key, rowset, tags=[table_name])
-        return rowset
+        return self._cached_probe(
+            self._match_cache, self._compute_match, table_name, predicate
+        )
 
     def match_ids(self, table_name: str, predicate: Predicate) -> np.ndarray:
         """Exact sorted row ids matching ``predicate`` on ``table_name``."""
@@ -477,18 +529,43 @@ class Database:
 
     def index_lookup(self, table_name: str, predicate: Predicate) -> IndexLookup:
         """Index probe for ``predicate`` (requires a supporting index)."""
+        return self._cached_probe(
+            self._lookup_cache, self._compute_lookup, table_name, predicate
+        )
+
+    @staticmethod
+    def _cached_probe(cache, compute, table_name, predicate, supplied=None):
+        """The engine's one match/lookup cache protocol.
+
+        Get; on a miss take the caller's precomputed value from ``supplied``
+        (keyed like the cache) or compute it, then put.  The batch executor
+        supplies its sweep results here, so every request drives the
+        instrumented caches through the same get/put sequence however its
+        values were computed.
+        """
         key = (table_name, predicate.key())
-        cached = self._lookup_cache.get(key)
-        if cached is not None:
-            return cached
+        value = cache.get(key)
+        if value is None:
+            value = supplied.get(key) if supplied else None
+            if value is None:
+                value = compute(table_name, predicate)
+            cache.put(key, value, tags=[table_name])
+        return value
+
+    def _compute_match(self, table_name: str, predicate: Predicate) -> RowSet:
+        table = self.table(table_name)
+        index = self.index(table_name, predicate.column)
+        if index is not None and index.supports(predicate):
+            return RowSet.from_ids(index.lookup(predicate).row_ids, table.n_rows)
+        return predicate.matching_rowset(table)
+
+    def _compute_lookup(self, table_name: str, predicate: Predicate) -> IndexLookup:
         index = self.index(table_name, predicate.column)
         if index is None or not index.supports(predicate):
             raise SchemaError(
                 f"no index supports predicate {predicate!r} on {table_name!r}"
             )
-        lookup = index.lookup(predicate)
-        self._lookup_cache.put(key, lookup, tags=[table_name])
-        return lookup
+        return index.lookup(predicate)
 
     def key_lookup(self, table_name: str, column: str) -> tuple[np.ndarray, np.ndarray]:
         """Sorted (values, row-id permutation) for equi-join key probing."""
@@ -583,19 +660,7 @@ class Database:
         if name not in self._tables:
             raise SchemaError(f"cannot replace unknown table {name!r}")
         self._tables[name] = table
-        for (tname, column) in list(self._indexes):
-            if tname == name:
-                self._indexes[(tname, column)] = self._build_index(table, column)
-        self._match_cache.invalidate_tag(name)
-        self._lookup_cache.invalidate_tag(name)
-        self._plan_cache.invalidate_tag(name)
-        self._true_time_cache.invalidate_tag(name)
-        self._estimate_cache.invalidate_tag(name)
-        for key in [k for k in self._key_cache if k[0] == name]:
-            del self._key_cache[key]
-        for key in [k for k in self._bin_layout_cache if k[0] == name]:
-            del self._bin_layout_cache[key]
-        self._warm_structures.clear()
+        self._drop_derived_state(table)
         self._stats.pop(name, None)
         if analyze:
             self.analyze(name)
@@ -625,22 +690,25 @@ class Database:
 
     def invalidate_table(self, table_name: str) -> None:
         """Drop caches/indexes/statistics derived from ``table_name``."""
-        table = self.table(table_name)
-        for (tname, column) in list(self._indexes):
-            if tname == table_name:
-                self._indexes[(tname, column)] = self._build_index(table, column)
-        self._match_cache.invalidate_tag(table_name)
-        self._lookup_cache.invalidate_tag(table_name)
-        self._plan_cache.invalidate_tag(table_name)
-        self._true_time_cache.invalidate_tag(table_name)
-        self._estimate_cache.invalidate_tag(table_name)
-        for key in [k for k in self._key_cache if k[0] == table_name]:
-            del self._key_cache[key]
-        for key in [k for k in self._bin_layout_cache if k[0] == table_name]:
-            del self._bin_layout_cache[key]
-        self._warm_structures.clear()
+        self._drop_derived_state(self.table(table_name))
         self.analyze(table_name)
         self._fire_invalidation_hooks(table_name)
+
+    def _drop_derived_state(self, table: Table) -> None:
+        """Rebuild ``table``'s indexes against its current data and drop
+        every cache entry, key/bin layout and warm structure derived from
+        its old version (statistics and hooks are left to the caller)."""
+        name = table.name
+        for (tname, column) in list(self._indexes):
+            if tname == name:
+                self._indexes[(tname, column)] = self._build_index(table, column)
+        for cache in self._engine_caches():
+            cache.invalidate_tag(name)
+        for key in [k for k in self._key_cache if k[0] == name]:
+            del self._key_cache[key]
+        for key in [k for k in self._bin_layout_cache if k[0] == name]:
+            del self._bin_layout_cache[key]
+        self._warm_structures.clear()
 
     def _build_index(self, table: Table, column: str) -> Index:
         kind = table.schema.kind_of(column)
@@ -653,36 +721,35 @@ class Database:
         raise SchemaError(f"cannot index column kind {kind}")
 
     def _cache_counts(self) -> tuple[int, int]:
-        stats = (s for s in self._engine_caches())
         hits = misses = 0
-        for s in stats:
-            hits += s.hits
-            misses += s.misses
+        for cache in self._engine_caches():
+            hits += cache.stats.hits
+            misses += cache.stats.misses
         return hits, misses
 
     def _cache_delta(self, before: tuple[int, int]) -> tuple[int, int]:
         hits, misses = self._cache_counts()
         return hits - before[0], misses - before[1]
 
-    def _engine_caches(self) -> tuple[CacheStats, ...]:
+    def _engine_caches(self) -> tuple[InstrumentedCache, ...]:
+        """The instrumented engine caches, in report order."""
         return (
-            self._match_cache.stats,
-            self._lookup_cache.stats,
-            self._plan_cache.stats,
-            self._true_time_cache.stats,
-            self._estimate_cache.stats,
+            self._match_cache,
+            self._lookup_cache,
+            self._plan_cache,
+            self._true_time_cache,
+            self._estimate_cache,
         )
 
     def cache_stats(self) -> CacheStatsReport:
         """Hit-rate counters of every engine cache (for serving reports)."""
-        return CacheStatsReport(caches=tuple(s.snapshot() for s in self._engine_caches()))
+        return CacheStatsReport(
+            caches=tuple(cache.stats.snapshot() for cache in self._engine_caches())
+        )
 
     def clear_caches(self) -> None:
-        self._match_cache.clear()
-        self._lookup_cache.clear()
-        self._plan_cache.clear()
+        for cache in self._engine_caches():
+            cache.clear()
         self._key_cache.clear()
-        self._true_time_cache.clear()
-        self._estimate_cache.clear()
         self._bin_layout_cache.clear()
         self._warm_structures.clear()

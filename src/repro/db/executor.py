@@ -1,4 +1,4 @@
-"""Physical plan execution with plan-faithful work accounting.
+"""The scan kernel: plan-faithful row selection and work accounting.
 
 Design note (also in DESIGN.md): the executor computes *results* through the
 cheapest correct path available (indexes, vectorized masks), but *charges*
@@ -7,13 +7,13 @@ touching every row even though the answer is assembled from memoized row-id
 sets.  Results are therefore always exact for the table the plan reads, while
 virtual execution time faithfully reflects the plan the database chose.
 
-Execution is split into :meth:`Executor.scan_rows` (scan + join + limit — the
-row-selection phase) and :meth:`Executor.finalize` (aggregation/projection),
-and every engine touch goes through an :class:`EngineAccess` provider.  The
-batch executor (``batch_executor.py``) swaps in a provider that shares
-predicate row sets, index probes, and bin sweeps across a whole batch while
-running the *same* access sequence — which is what keeps batched execution
-bit-identical to this per-request path.
+:meth:`Executor.scan_rows` (scan + join + limit — the row-selection phase)
+is the one kernel two consumers share: the batch executor
+(``batch_executor.py``), which runs every engine execution and adds
+aggregation/projection, and the shard engine (``sharding.py``).  Every
+engine touch goes through an :class:`EngineAccess` provider, so each
+consumer supplies shared probe values without changing the kernel's access
+sequence.
 """
 
 from __future__ import annotations
@@ -25,11 +25,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import ExecutionError
-from .binning import bin_counts
 from .cost_model import WorkCounters
 from .plans import PhysicalPlan
 from .predicates import Predicate
-from .query import SelectQuery
 from .rowset import RowSet, intersect_all
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -83,8 +81,8 @@ def charge_scan(
 ) -> None:
     """Charge the canonical scan work for ``cards`` onto ``counters``.
 
-    The single accounting rule shared by the per-request executor, the
-    batch executor, and the shard router's gather: charges are a pure
+    The single accounting rule shared by the batch executor and the shard
+    router's gather: charges are a pure
     function of the plan's scan, the table size, per-path index entry
     counts, and the stage cardinalities — commutative integer adds, so
     charging after the scan computes is bit-identical to charging inline.
@@ -145,8 +143,9 @@ class EngineAccess:
     """How the executor reaches the engine's shared matching services.
 
     The default implementation simply delegates to the database's memoized
-    services; the batch executor substitutes one that adds batch-level
-    sharing.  Whatever the provider does internally, it must return values
+    services; the batch executor substitutes one that supplies its
+    precomputed probe values, the shard engine one over shard-shared match
+    sets.  Whatever the provider does internally, it must return values
     identical to these defaults and drive the instrumented caches through
     the same get/put sequence — the executor charges work from the returned
     objects, so identical values mean identical counters.
@@ -169,20 +168,11 @@ class EngineAccess:
 
 
 class Executor:
-    """Executes physical plans against the database's storage."""
+    """The scan kernel over the database's storage (see module docstring)."""
 
     def __init__(self, database: "Database") -> None:
         self._db = database
         self._access = EngineAccess(database)
-
-    def run(self, plan: PhysicalPlan, query: SelectQuery) -> tuple[WorkCounters, np.ndarray | None, dict[int, float] | None]:
-        """Execute ``plan`` and return (counters, row_ids, bins).
-
-        Row ids are returned in base-table space so approximate results read
-        from sample tables remain comparable with exact results.
-        """
-        counters, result_ids, _cards = self.scan_rows(plan)
-        return self.finalize(plan, counters, result_ids)
 
     def scan_rows(
         self,
@@ -213,24 +203,6 @@ class Executor:
             counters = counters.scaled(factor)
             result_ids = result_ids[: plan.limit]
         return counters, result_ids, cards
-
-    def finalize(
-        self, plan: PhysicalPlan, counters: WorkCounters, result_ids: np.ndarray
-    ) -> tuple[WorkCounters, np.ndarray | None, dict[int, float] | None]:
-        """Aggregation/projection phase over the selected rows."""
-        table = self._db.table(plan.scan.table)
-        if plan.group_by is not None:
-            counters.group_rows += len(result_ids)
-            points = table.points(plan.group_by.column)[result_ids]
-            weight = 1.0
-            if table.sample_fraction:
-                weight = 1.0 / table.sample_fraction
-            bins = bin_counts(points, plan.group_by, weight=weight)
-            counters.output_rows += len(bins)
-            return counters, None, bins
-
-        counters.output_rows += len(result_ids)
-        return counters, table.to_base_ids(result_ids), None
 
     # ------------------------------------------------------------------
     # Scan

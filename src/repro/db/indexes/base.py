@@ -45,19 +45,13 @@ class Index(ABC):
         """Whether this index can answer ``predicate``."""
 
     @abstractmethod
-    def lookup(self, predicate: Predicate) -> IndexLookup:
-        """Answer ``predicate`` exactly; raises QueryError if unsupported."""
-
     def lookup_batch(self, predicates: list[Predicate]) -> list[IndexLookup]:
-        """Answer many predicates at once.
+        """Answer many predicates exactly, element-wise: the index's one
+        lookup kernel.  Raises QueryError if any predicate is unsupported."""
 
-        Results must be element-wise identical to :meth:`lookup` — same
-        ``row_ids`` arrays and ``entries_scanned`` — so the batch executor
-        can substitute a fused sweep for per-predicate probes without
-        perturbing work accounting.  Subclasses override this with a
-        vectorized implementation where the structure allows one.
-        """
-        return [self.lookup(predicate) for predicate in predicates]
+    def lookup(self, predicate: Predicate) -> IndexLookup:
+        """Answer ``predicate`` exactly: a batch of one."""
+        return self.lookup_batch([predicate])[0]
 
     def entries_for(self, predicate: Predicate) -> int:
         """``entries_scanned`` of :meth:`lookup`, without materializing ids.

@@ -34,17 +34,10 @@ class SortedIndex(Index):
             and predicate.column == self.column
         )
 
-    def lookup(self, predicate: Predicate) -> IndexLookup:
-        if isinstance(predicate, RangePredicate) and predicate.column == self.column:
-            return self._range(predicate.low, predicate.high)
-        if isinstance(predicate, EqualsPredicate) and predicate.column == self.column:
-            return self._range(predicate.value, predicate.value)
-        raise self._reject(predicate)
-
     def lookup_batch(self, predicates: list[Predicate]) -> list[IndexLookup]:
-        """Batched range probe: both binary-search ends for every predicate
-        in two vectorized ``searchsorted`` calls, then one slice-sort each
-        (the sorted output IS the result, so that part cannot be shared)."""
+        """Range probes: both binary-search ends for every predicate in two
+        vectorized ``searchsorted`` calls, then one slice-sort each (the
+        sorted output IS the result, so that part cannot be shared)."""
         bounds: list[tuple[float | None, float | None]] = []
         for predicate in predicates:
             if isinstance(predicate, RangePredicate) and predicate.column == self.column:
@@ -76,20 +69,6 @@ class SortedIndex(Index):
             )
             for lo, hi in zip(lo_pos.tolist(), hi_pos.tolist())
         ]
-
-    def _range(self, low: float | None, high: float | None) -> IndexLookup:
-        lo_pos = (
-            0
-            if low is None
-            else int(np.searchsorted(self._sorted_values, low, side="left"))
-        )
-        hi_pos = (
-            self.n_entries
-            if high is None
-            else int(np.searchsorted(self._sorted_values, high, side="right"))
-        )
-        ids = np.sort(self._row_ids[lo_pos:hi_pos])
-        return IndexLookup(row_ids=ids, entries_scanned=len(ids))
 
     def entries_for(self, predicate: Predicate) -> int:
         """Entries a :meth:`lookup` would scan (= matches), via two searches."""

@@ -34,12 +34,15 @@ class InvertedIndex(Index):
     def supports(self, predicate: Predicate) -> bool:
         return isinstance(predicate, KeywordPredicate) and predicate.column == self.column
 
-    def lookup(self, predicate: Predicate) -> IndexLookup:
-        if not self.supports(predicate):
-            raise self._reject(predicate)
-        assert isinstance(predicate, KeywordPredicate)
-        ids = self._postings.get(predicate.keyword, _EMPTY)
-        return IndexLookup(row_ids=ids, entries_scanned=len(ids))
+    def lookup_batch(self, predicates: list[Predicate]) -> list[IndexLookup]:
+        """Each keyword's postings, as stored."""
+        results = []
+        for predicate in predicates:
+            if not self.supports(predicate):
+                raise self._reject(predicate)
+            ids = self._postings.get(predicate.keyword, _EMPTY)  # type: ignore[attr-defined]
+            results.append(IndexLookup(row_ids=ids, entries_scanned=len(ids)))
+        return results
 
     def entries_for(self, predicate: Predicate) -> int:
         """Entries a :meth:`lookup` would scan: the keyword's posting length."""

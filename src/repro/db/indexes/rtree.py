@@ -6,6 +6,13 @@ candidates from boundary cells exactly.  ``entries_scanned`` counts every
 candidate examined (interior-cell points are accepted without an exact test,
 boundary-cell points each cost one check) — the same access-path behaviour
 an R-tree range query exhibits.
+
+The index answers every probe with one kernel, :meth:`GridIndex.lookup_batch`:
+interior-cell candidates are provably inside the box and boundary cells are
+filtered exactly, so the matches are exactly the points inside the box — a
+vectorized compare of every point against the box.  ``entries_scanned`` —
+every candidate in the covered cell rectangle — comes from 2D prefix sums of
+per-cell entry counts.
 """
 
 from __future__ import annotations
@@ -30,57 +37,27 @@ class GridIndex(Index):
             raise ValueError("grid_size must be >= 1")
         self.grid_size = grid_size
         pts = table.points(column)
-        self._points = pts
         self.n_entries = len(pts)
+        # Contiguous per-axis copies: the lookup broadcasts compares against
+        # them, and strided (n, 2) column views halve the throughput.
+        self._x = np.ascontiguousarray(pts[:, 0])
+        self._y = np.ascontiguousarray(pts[:, 1])
+        # 2D inclusive prefix sums of per-cell entry counts, so a lookup
+        # charges a whole cell rectangle in O(1).
+        self._prefix = np.zeros((grid_size + 1, grid_size + 1), dtype=np.int64)
         if self.n_entries == 0:
             self._min = np.zeros(2)
             self._span = np.ones(2)
-            self._cells: dict[tuple[int, int], np.ndarray] = {}
             return
         self._min = pts.min(axis=0)
         span = pts.max(axis=0) - self._min
         # Guard against degenerate (single-point) extents.
         self._span = np.where(span > 0, span, 1.0)
-        cell_xy = self._cell_of(pts)
-        order = np.lexsort((cell_xy[:, 1], cell_xy[:, 0]))
-        sorted_cells = cell_xy[order]
-        boundaries = np.flatnonzero(
-            np.any(np.diff(sorted_cells, axis=0) != 0, axis=1)
-        )
-        starts = np.concatenate(([0], boundaries + 1))
-        ends = np.concatenate((boundaries + 1, [self.n_entries]))
-        self._cells = {}
-        for start, end in zip(starts, ends):
-            cx, cy = sorted_cells[start]
-            self._cells[(int(cx), int(cy))] = np.sort(order[start:end]).astype(np.int64)
-        # Batch-sweep accelerators (prefix sums + contiguous axis copies)
-        # are built lazily on the first lookup_batch: per-request-only
-        # deployments never pay their memory or construction cost.
-        self._sweep_state: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def _sweep_accelerators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(prefix, x, y) for the batched sweep, built on first use.
-
-        ``prefix`` holds 2D inclusive prefix sums of per-cell entry counts,
-        so a batch lookup charges ``entries_scanned`` for a whole cell
-        rectangle in O(1) instead of walking the cells.  ``x``/``y`` are
-        contiguous per-axis copies: the sweep broadcasts compares against
-        them, and strided (n, 2) column views halve the throughput.
-        """
-        if self._sweep_state is None:
-            counts = np.zeros((self.grid_size, self.grid_size), dtype=np.int64)
-            for (cx, cy), ids in self._cells.items():
-                counts[cx, cy] = len(ids)
-            prefix = np.zeros(
-                (self.grid_size + 1, self.grid_size + 1), dtype=np.int64
-            )
-            prefix[1:, 1:] = counts.cumsum(axis=0).cumsum(axis=1)
-            self._sweep_state = (
-                prefix,
-                np.ascontiguousarray(self._points[:, 0]),
-                np.ascontiguousarray(self._points[:, 1]),
-            )
-        return self._sweep_state
+        cells = self._cell_of(pts)
+        counts = np.bincount(
+            cells[:, 0] * grid_size + cells[:, 1], minlength=grid_size * grid_size
+        ).reshape(grid_size, grid_size)
+        self._prefix[1:, 1:] = counts.cumsum(axis=0).cumsum(axis=1)
 
     def _cell_of(self, pts: np.ndarray) -> np.ndarray:
         scaled = (pts - self._min) / self._span * self.grid_size
@@ -92,118 +69,64 @@ class GridIndex(Index):
     def supports(self, predicate: Predicate) -> bool:
         return isinstance(predicate, SpatialPredicate) and predicate.column == self.column
 
-    def lookup(self, predicate: Predicate) -> IndexLookup:
-        if not self.supports(predicate):
-            raise self._reject(predicate)
-        assert isinstance(predicate, SpatialPredicate)
-        box = predicate.box
-        if self.n_entries == 0:
-            return IndexLookup(row_ids=_EMPTY, entries_scanned=0)
-
-        corners = np.array([[box.min_x, box.min_y], [box.max_x, box.max_y]])
-        cells = self._cell_of(corners)
-        (cx0, cy0), (cx1, cy1) = cells
-        accepted: list[np.ndarray] = []
-        entries_scanned = 0
-        for cx in range(cx0, cx1 + 1):
-            for cy in range(cy0, cy1 + 1):
-                candidates = self._cells.get((cx, cy))
-                if candidates is None:
-                    continue
-                entries_scanned += len(candidates)
-                interior = cx0 < cx < cx1 and cy0 < cy < cy1
-                if interior:
-                    accepted.append(candidates)
-                    continue
-                pts = self._points[candidates]
-                mask = (
-                    (pts[:, 0] >= box.min_x)
-                    & (pts[:, 0] <= box.max_x)
-                    & (pts[:, 1] >= box.min_y)
-                    & (pts[:, 1] <= box.max_y)
-                )
-                accepted.append(candidates[mask])
-        if accepted:
-            ids = np.sort(np.concatenate(accepted))
-        else:
-            ids = _EMPTY
-        return IndexLookup(row_ids=ids, entries_scanned=entries_scanned)
-
-    def entries_for(self, predicate: Predicate) -> int:
-        """Entries a :meth:`lookup` would scan, from the 2D prefix sums.
-
-        Counts every candidate in the box's covered cell rectangle — the
-        exact ``entries_scanned`` the per-predicate walk reports — in O(1)
-        after the first call builds the sweep accelerators.
-        """
-        if not self.supports(predicate):
-            raise self._reject(predicate)
-        assert isinstance(predicate, SpatialPredicate)
-        if self.n_entries == 0:
-            return 0
-        box = predicate.box
-        corners = np.array([[box.min_x, box.min_y], [box.max_x, box.max_y]])
-        (cx0, cy0), (cx1, cy1) = self._cell_of(corners)
-        prefix, _, _ = self._sweep_accelerators()
-        return int(
-            prefix[cx1 + 1, cy1 + 1]
-            - prefix[cx0, cy1 + 1]
-            - prefix[cx1 + 1, cy0]
-            + prefix[cx0, cy0]
-        )
-
-    def lookup_batch(self, predicates: list[Predicate]) -> list[IndexLookup]:
-        """One vectorized sweep answering many box predicates.
-
-        ``row_ids`` are exact box matches (interior-cell candidates are
-        provably inside the box, boundary cells are filtered exactly — the
-        same invariant :meth:`lookup` relies on), so a broadcast compare of
-        every point against every box reproduces them bit-identically.
-        ``entries_scanned`` — every candidate in the covered cell rectangle
-        — comes from the 2D prefix sums built at construction time.
-        """
-        for predicate in predicates:
-            if not self.supports(predicate):
-                raise self._reject(predicate)
-        if not predicates:
-            return []
-        if self.n_entries == 0:
-            return [IndexLookup(row_ids=_EMPTY, entries_scanned=0)] * len(predicates)
-
-        boxes = np.array(
-            [
-                [p.box.min_x, p.box.min_y, p.box.max_x, p.box.max_y]
-                for p in predicates
-            ]
-        )
+    def _entries(self, boxes: np.ndarray) -> np.ndarray:
+        """Entries in each ``(min_x, min_y, max_x, max_y)`` box's covered
+        cell rectangle, from the prefix sums."""
         corners = np.stack([boxes[:, :2], boxes[:, 2:]], axis=1).reshape(-1, 2)
-        cells = self._cell_of(corners).reshape(len(predicates), 2, 2)
-        prefix, x, y = self._sweep_accelerators()
+        cells = self._cell_of(corners).reshape(len(boxes), 2, 2)
         lo_x, lo_y = cells[:, 0, 0], cells[:, 0, 1]
         hi_x, hi_y = cells[:, 1, 0] + 1, cells[:, 1, 1] + 1
-        entries = (
+        prefix = self._prefix
+        return (
             prefix[hi_x, hi_y]
             - prefix[lo_x, hi_y]
             - prefix[hi_x, lo_y]
             + prefix[lo_x, lo_y]
         )
 
+    def _boxes(self, predicates: list[Predicate]) -> np.ndarray:
+        for predicate in predicates:
+            if not self.supports(predicate):
+                raise self._reject(predicate)
+        return np.array(
+            [
+                [p.box.min_x, p.box.min_y, p.box.max_x, p.box.max_y]  # type: ignore[attr-defined]
+                for p in predicates
+            ]
+        ).reshape(-1, 4)
+
+    def entries_for(self, predicate: Predicate) -> int:
+        """Entries a :meth:`lookup` would scan, from the 2D prefix sums."""
+        boxes = self._boxes([predicate])
+        if self.n_entries == 0:
+            return 0
+        return int(self._entries(boxes)[0])
+
+    def lookup_batch(self, predicates: list[Predicate]) -> list[IndexLookup]:
+        """Answer box predicates with one vectorized compare per chunk."""
+        boxes = self._boxes(predicates)
+        if not predicates:
+            return []
+        if self.n_entries == 0:
+            return [IndexLookup(row_ids=_EMPTY, entries_scanned=0)] * len(predicates)
+
+        entries = self._entries(boxes).tolist()
+        x, y = self._x, self._y
         results: list[IndexLookup] = []
-        chunk = max(1, 4_000_000 // max(self.n_entries, 1))
+        # Chunks of ~1M point-box compares, combined in place, bound the
+        # sweep's scratch memory to a few MB whatever the batch size.
+        chunk = max(1, 1_000_000 // self.n_entries)
         for start in range(0, len(predicates), chunk):
             part = boxes[start : start + chunk]
-            inside = (
-                (x[None, :] >= part[:, 0, None])
-                & (x[None, :] <= part[:, 2, None])
-                & (y[None, :] >= part[:, 1, None])
-                & (y[None, :] <= part[:, 3, None])
-            )
+            inside = x[None, :] >= part[:, 0, None]
+            inside &= x[None, :] <= part[:, 2, None]
+            inside &= y[None, :] >= part[:, 1, None]
+            inside &= y[None, :] <= part[:, 3, None]
             for offset in range(len(part)):
-                ids = np.flatnonzero(inside[offset]).astype(np.int64)
                 results.append(
                     IndexLookup(
-                        row_ids=ids,
-                        entries_scanned=int(entries[start + offset]),
+                        row_ids=np.flatnonzero(inside[offset]).astype(np.int64),
+                        entries_scanned=entries[start + offset],
                     )
                 )
         return results

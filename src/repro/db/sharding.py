@@ -482,11 +482,10 @@ class ShardEngine:
         """Pre-fill the match cache for the batch's residual predicates.
 
         ``match_rowset`` answers an index-supported predicate through a
-        per-predicate ``Index.lookup`` — a python cell walk for the grid
-        index.  Computing the batch's distinct residual matches in one
-        ``lookup_batch`` sweep per (table, column) first (identical values,
-        same RowSet construction) turns the per-entry scan loop's misses
-        into hits.
+        per-predicate ``Index.lookup`` (a batch of one).  Computing the
+        batch's distinct residual matches in one ``lookup_batch`` sweep per
+        (table, column) first (identical values, same RowSet construction)
+        turns the per-entry scan loop's misses into hits.
         """
         database = self.database
         needed: dict[tuple[str, str], dict[tuple, object]] = {}

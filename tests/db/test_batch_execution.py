@@ -1,19 +1,21 @@
-"""Batch execution equivalence: ``execute_batch`` == per-request ``execute``.
+"""Execution equivalence: ``execute`` and ``execute_batch`` == the oracle.
 
-The tentpole invariant of the batched execution stage: for any workload
+The invariant of the engine's one execution pipeline: for any workload
 (mixed aggregate/row queries, hint sets, overlapping predicates, LIMITs,
 sample-table rewrites, duplicates), any engine profile, and any cache
-temperature, ``Database.execute_batch`` produces results bit-identical to
-sequential ``Database.execute`` calls in the same order — row ids, bins,
-work counters, ``base_ms``/``execution_ms``, obeyed-hints flags, and the
-per-request engine-cache hit/miss deltas — and leaves the engine caches in
-an identical state.
+temperature, ``Database.execute`` (a batch of one) and
+``Database.execute_batch`` produce results bit-identical to the pinned
+request-at-a-time oracle (``tests/db/_reference.py``) run in the same
+order — row ids, bins, work counters, ``base_ms``/``execution_ms``,
+obeyed-hints flags, and the per-request engine-cache hit/miss deltas — and
+leave the engine caches and RNG in an identical state.
 
 The property is checked on *twin databases* (same construction seeds): one
-serves the workload sequentially, the other batched, and both the outcomes
-and the post-workload cache counters must agree.  Noisy profiles exercise
-the in-order fallback pipeline (RNG streams must be consumed identically);
-the deterministic profile exercises the phase-separated fused path.
+serves the workload through the oracle, the others through ``execute`` and
+``execute_batch``, and both the outcomes and the post-workload cache
+counters and RNG state must agree.  Noisy profiles check that drawing every
+request's engine randomness up front consumes the RNG stream exactly as
+request-at-a-time execution does.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.db import (
 )
 
 from ..conftest import build_twitter_db, random_query_workload
+from ._reference import ReferenceGridIndex, reference_execute
 
 PROFILES = {
     "deterministic": EngineProfile.deterministic,
@@ -42,14 +45,14 @@ PROFILES = {
 }
 
 
-def _twin_dbs(profile_name: str) -> tuple[Database, Database]:
+def _twin_dbs(profile_name: str, count: int = 2) -> tuple[Database, ...]:
     build = lambda: build_twitter_db(  # noqa: E731 - tiny local factory
         n_tweets=2_500,
         n_users=125,
         sample_fraction=0.05,
         profile=PROFILES[profile_name](),
     )
-    return build(), build()
+    return tuple(build() for _ in range(count))
 
 
 def assert_results_identical(sequential, batched) -> None:
@@ -75,6 +78,7 @@ def assert_cache_state_identical(db_a: Database, db_b: Database) -> None:
     left = {c.name: (c.hits, c.misses, c.invalidations) for c in db_a.cache_stats().caches}
     right = {c.name: (c.hits, c.misses, c.invalidations) for c in db_b.cache_stats().caches}
     assert left == right
+    assert db_a._rng.bit_generator.state == db_b._rng.bit_generator.state
 
 
 # ----------------------------------------------------------------------
@@ -83,11 +87,14 @@ def assert_cache_state_identical(db_a: Database, db_b: Database) -> None:
 @pytest.mark.parametrize("profile_name", ["deterministic", "postgres", "commercial"])
 @pytest.mark.parametrize("workload_seed", [0, 1])
 def test_batch_bit_identical_to_sequential(profile_name, workload_seed):
-    db_seq, db_bat = _twin_dbs(profile_name)
+    db_seq, db_one, db_bat = _twin_dbs(profile_name, count=3)
     workload = random_query_workload(db_seq, seed=workload_seed, n=40)
-    sequential = [db_seq.execute(query) for query in workload]
+    sequential = [reference_execute(db_seq, query) for query in workload]
+    singles = [db_one.execute(query) for query in workload]
     batched, sharing = db_bat.execute_batch(workload)
+    assert_results_identical(sequential, singles)
     assert_results_identical(sequential, batched)
+    assert_cache_state_identical(db_seq, db_one)
     assert_cache_state_identical(db_seq, db_bat)
     assert sharing.n_queries == len(workload)
     # Duplicates in the workload must have been deduplicated, not re-run.
@@ -98,39 +105,39 @@ def test_batch_bit_identical_to_sequential(profile_name, workload_seed):
 def test_warm_caches_preserve_equivalence():
     """Second pass over the same workload: every probe is a cache hit on
     both sides, and per-request hit/miss deltas still agree exactly."""
-    db_seq, db_bat = _twin_dbs("deterministic")
+    db_seq, db_one, db_bat = _twin_dbs("deterministic", count=3)
     workload = random_query_workload(db_seq, seed=3, n=25)
     for _ in range(2):
-        sequential = [db_seq.execute(query) for query in workload]
+        sequential = [reference_execute(db_seq, query) for query in workload]
+        singles = [db_one.execute(query) for query in workload]
         batched, _ = db_bat.execute_batch(workload)
+        assert_results_identical(sequential, singles)
         assert_results_identical(sequential, batched)
+    assert_cache_state_identical(db_seq, db_one)
     assert_cache_state_identical(db_seq, db_bat)
     # The warm pass sees hits where the cold pass missed.
     assert any(result.cache_hits > 0 for result in batched)
 
 
-def test_fused_and_fallback_paths_cover_profiles():
-    """Deterministic profiles take the phase-separated fused path; hinted
-    workloads on hint-ignoring profiles must fall back to the in-order
-    pipeline (the RNG draws interleave per request)."""
+def test_probe_sweeps_cover_profiles():
+    """Every profile runs the phase-separated pipeline: hinted batches on
+    hint-ignoring profiles draw their obey uniforms up front and still
+    answer their probes with fused lookup_batch sweeps."""
     db_det = build_twitter_db(n_tweets=2_500, n_users=125, sample_fraction=0.05)
     workload = random_query_workload(db_det, seed=5, n=15)
     _, sharing = db_det.execute_batch(workload)
-    assert sharing.fused
     assert sharing.n_probe_sweeps > 0
 
-    db_pg = build_twitter_db(
-        n_tweets=2_500, n_users=125, sample_fraction=0.05,
-        profile=EngineProfile.postgres(),
-    )
-    hinted = [q for q in random_query_workload(db_pg, seed=5, n=15) if q.hints]
-    assert hinted, "workload should contain hinted queries"
-    _, sharing = db_pg.execute_batch(hinted)
-    assert not sharing.fused
-    # An unhinted workload has no obey draws, so it can fuse even here.
-    unhinted = [q.without_hints() for q in hinted]
-    _, sharing = db_pg.execute_batch(unhinted)
-    assert sharing.fused
+    for profile in (EngineProfile.postgres(), EngineProfile.commercial()):
+        database = build_twitter_db(
+            n_tweets=2_500, n_users=125, sample_fraction=0.05, profile=profile
+        )
+        hinted = [
+            q for q in random_query_workload(database, seed=5, n=15) if q.hints
+        ]
+        assert hinted, "workload should contain hinted queries"
+        _, sharing = database.execute_batch(hinted)
+        assert sharing.n_probe_sweeps > 0, profile.name
 
 
 def test_batch_after_mutation_sees_fresh_data():
@@ -139,7 +146,7 @@ def test_batch_after_mutation_sees_fresh_data():
     whole-column bin layout — so no stale rows leak into later batches."""
     db_seq, db_bat = _twin_dbs("deterministic")
     workload = random_query_workload(db_seq, seed=7, n=20)
-    sequential = [db_seq.execute(query) for query in workload]
+    sequential = [reference_execute(db_seq, query) for query in workload]
     batched, _ = db_bat.execute_batch(workload)
     assert_results_identical(sequential, batched)
 
@@ -158,7 +165,7 @@ def test_batch_after_mutation_sees_fresh_data():
     db_seq.append_rows("tweets", new_rows)
     db_bat.append_rows("tweets", new_rows)
 
-    sequential = [db_seq.execute(query) for query in workload]
+    sequential = [reference_execute(db_seq, query) for query in workload]
     batched, _ = db_bat.execute_batch(workload)
     assert_results_identical(sequential, batched)
     assert_cache_state_identical(db_seq, db_bat)
@@ -180,7 +187,7 @@ def test_execute_batch_empty_and_singleton():
     results, sharing = db_bat.execute_batch([])
     assert results == [] and sharing.n_queries == 0
     workload = random_query_workload(db_seq, seed=11, n=3)[:1]
-    sequential = [db_seq.execute(workload[0])]
+    sequential = [reference_execute(db_seq, workload[0])]
     batched, sharing = db_bat.execute_batch(workload)
     assert sharing.n_queries == 1
     assert_results_identical(sequential, batched)
@@ -206,13 +213,18 @@ def test_lookup_batch_matches_lookup(small_db):
         for lo in rng.uniform(0, 80, size=20)
     ] + [RangePredicate("value", None, 50.0), RangePredicate("value", 50.0, None)]
     keywords = [KeywordPredicate("note", word) for word in ("alpha", "beta", "zzz")]
+    table = small_db.table("rows")
+    walk = ReferenceGridIndex(table, "spot")
     for column, predicates in (("spot", spatial), ("value", ranges), ("note", keywords)):
         index = small_db.index("rows", column)
         fused = index.lookup_batch(predicates)
         for predicate, batch_lookup in zip(predicates, fused):
-            single = index.lookup(predicate)
+            # The grid's kernel against the pinned cell walk; the other
+            # indexes against their batch of one and the exact mask.
+            single = walk.lookup(predicate) if column == "spot" else index.lookup(predicate)
             assert np.array_equal(single.row_ids, batch_lookup.row_ids)
             assert single.entries_scanned == batch_lookup.entries_scanned
+            assert np.array_equal(batch_lookup.row_ids, predicate.matching_ids(table))
     assert small_db.index("rows", "spot").lookup_batch([]) == []
 
 

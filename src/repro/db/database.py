@@ -634,11 +634,15 @@ class Database:
     # Mutation and cache management
     # ------------------------------------------------------------------
     def append_rows(self, table_name: str, columns: Mapping[str, object]) -> Table:
-        """Append rows to a table, rebuilding its indexes and statistics.
+        """Append rows to a table, extending its indexes in place and
+        rebuilding its statistics.
 
-        Every cache entry derived from the table is invalidated; sample
-        tables drawn from it are *not* refreshed (they keep approximating
-        the table as of their creation, like a stale materialized sample).
+        The appended rows take ids above every existing row, so each index
+        absorbs only them (see :meth:`Index.extend`) and ends up equal to a
+        fresh build; index objects keep their identity.  Every cache entry
+        derived from the table is invalidated; sample tables drawn from it
+        are *not* refreshed (they keep approximating the table as of their
+        creation, like a stale materialized sample).
         """
         table = self.table(table_name)
         table.append_rows(columns)
@@ -660,7 +664,7 @@ class Database:
         if name not in self._tables:
             raise SchemaError(f"cannot replace unknown table {name!r}")
         self._tables[name] = table
-        self._drop_derived_state(table)
+        self._drop_derived_state(table, rebuild_indexes=True)
         self._stats.pop(name, None)
         if analyze:
             self.analyze(name)
@@ -689,19 +693,28 @@ class Database:
         self._invalidation_hooks = live
 
     def invalidate_table(self, table_name: str) -> None:
-        """Drop caches/indexes/statistics derived from ``table_name``."""
-        self._drop_derived_state(self.table(table_name))
+        """Bring everything derived from ``table_name`` up to date with its
+        current rows: extend its indexes in place with rows appended since
+        they were built, drop its cache entries, re-analyze its statistics
+        and fire the invalidation hooks."""
+        self._drop_derived_state(self.table(table_name), rebuild_indexes=False)
         self.analyze(table_name)
         self._fire_invalidation_hooks(table_name)
 
-    def _drop_derived_state(self, table: Table) -> None:
-        """Rebuild ``table``'s indexes against its current data and drop
-        every cache entry, key/bin layout and warm structure derived from
-        its old version (statistics and hooks are left to the caller)."""
+    def _drop_derived_state(self, table: Table, *, rebuild_indexes: bool) -> None:
+        """Bring ``table``'s indexes up to date — rebuilt fresh when
+        ``rebuild_indexes`` (a different table object was swapped in), else
+        extended in place with its appended rows — and drop every cache
+        entry, key/bin layout and warm structure derived from its old
+        version (statistics and hooks are left to the caller)."""
         name = table.name
-        for (tname, column) in list(self._indexes):
-            if tname == name:
+        for (tname, column), index in list(self._indexes.items()):
+            if tname != name:
+                continue
+            if rebuild_indexes:
                 self._indexes[(tname, column)] = self._build_index(table, column)
+            else:
+                index.extend(table)
         for cache in self._engine_caches():
             cache.invalidate_tag(name)
         for key in [k for k in self._key_cache if k[0] == name]:

@@ -9,6 +9,7 @@ import numpy as np
 
 from ...errors import QueryError
 from ..predicates import Predicate
+from ..table import Table
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,13 @@ class Index(ABC):
     @abstractmethod
     def supports(self, predicate: Predicate) -> bool:
         """Whether this index can answer ``predicate``."""
+
+    @abstractmethod
+    def extend(self, table: Table) -> None:
+        """Absorb the rows of ``table`` past those already indexed: the
+        index's one build kernel (a constructor extends an empty index with
+        every row).  Appended rows take ids above every indexed id, so the
+        result equals a fresh build over the whole table."""
 
     @abstractmethod
     def lookup_batch(self, predicates: list[Predicate]) -> list[IndexLookup]:

@@ -3,7 +3,8 @@
 Keys are kept in a sorted numpy array alongside the permutation of row ids,
 so a range lookup is two binary searches plus a slice — O(log n + k), the
 same asymptotics as a B+-tree range scan, with k "entries scanned" reported
-for cost accounting.
+for cost accounting.  Appended rows are merged in (O(n + k log k) for k new
+rows) rather than re-sorting the column.
 """
 
 from __future__ import annotations
@@ -22,11 +23,39 @@ class SortedIndex(Index):
 
     def __init__(self, table: Table, column: str) -> None:
         super().__init__(table.name, column)
-        values = table.numeric(column)
-        order = np.argsort(values, kind="stable")
-        self._sorted_values = values[order]
-        self._row_ids = order.astype(np.int64)
-        self.n_entries = len(values)
+        self._sorted_values = np.empty(0, dtype=table.numeric(column).dtype)
+        self._row_ids = np.empty(0, dtype=np.int64)
+        self.n_entries = 0
+        # NaN keys sort last and satisfy no bound, so every search stops at
+        # the first NaN.
+        self._n_ordered = 0
+        self.extend(table)
+
+    def extend(self, table: Table) -> None:
+        """Merge rows ``n_entries..`` in: a stable argsort of the new values
+        only, each placed after every equal old key
+        (``searchsorted(side="right")``).  Ties therefore keep ascending row
+        order, exactly as a stable argsort of the whole column does (NaNs
+        sort last either way)."""
+        new = table.numeric(self.column)[self.n_entries :]
+        order = np.argsort(new, kind="stable")
+        new_sorted = new[order]
+        # Merged position of each new key: after the old keys <= it and
+        # after the new keys before it.  Old keys fill the other slots.
+        slots = np.searchsorted(self._sorted_values, new_sorted, side="right")
+        slots += np.arange(len(new))
+        total = self.n_entries + len(new)
+        old_slots = np.ones(total, dtype=bool)
+        old_slots[slots] = False
+        values = np.empty(total, dtype=self._sorted_values.dtype)
+        values[slots] = new_sorted
+        values[old_slots] = self._sorted_values
+        row_ids = np.empty(total, dtype=np.int64)
+        row_ids[slots] = order + self.n_entries
+        row_ids[old_slots] = self._row_ids
+        self._sorted_values, self._row_ids = values, row_ids
+        self.n_entries = total
+        self._n_ordered += len(new) - int(np.count_nonzero(np.isnan(new)))
 
     def supports(self, predicate: Predicate) -> bool:
         return (
@@ -56,12 +85,12 @@ class SortedIndex(Index):
         lo_pos = np.where(
             [lo is None for lo, _ in bounds],
             0,
-            np.searchsorted(self._sorted_values, lows, side="left"),
+            self._search(lows, side="left"),
         )
         hi_pos = np.where(
             [hi is None for _, hi in bounds],
-            self.n_entries,
-            np.searchsorted(self._sorted_values, highs, side="right"),
+            self._n_ordered,
+            self._search(highs, side="right"),
         )
         return [
             IndexLookup(
@@ -80,14 +109,14 @@ class SortedIndex(Index):
 
     def count_range(self, low: float | None, high: float | None) -> int:
         """Cardinality of a range without materializing row ids."""
-        lo_pos = (
-            0
-            if low is None
-            else int(np.searchsorted(self._sorted_values, low, side="left"))
-        )
+        lo_pos = 0 if low is None else int(self._search(low, side="left"))
         hi_pos = (
-            self.n_entries
-            if high is None
-            else int(np.searchsorted(self._sorted_values, high, side="right"))
+            self._n_ordered if high is None else int(self._search(high, side="right"))
         )
         return max(0, hi_pos - lo_pos)
+
+    def _search(self, keys, side: str):
+        """``searchsorted`` over the ordered (non-NaN) keys only."""
+        return np.minimum(
+            np.searchsorted(self._sorted_values, keys, side=side), self._n_ordered
+        )

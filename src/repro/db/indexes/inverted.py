@@ -18,14 +18,25 @@ class InvertedIndex(Index):
 
     def __init__(self, table: Table, column: str) -> None:
         super().__init__(table.name, column)
-        postings: dict[str, list[int]] = {}
-        for row_id, tokens in enumerate(table.token_sets(column)):
+        self._postings: dict[str, np.ndarray] = {}
+        self.n_rows = 0
+        self.extend(table)
+
+    def extend(self, table: Table) -> None:
+        """Post rows ``n_rows..``: only their token sets are read, and their
+        ids go on the end of each touched token's array, which therefore
+        stays ascending."""
+        token_sets = table.token_sets(self.column)
+        added: dict[str, list[int]] = {}
+        for row_id, tokens in enumerate(token_sets[self.n_rows :], self.n_rows):
             for token in tokens:
-                postings.setdefault(token, []).append(row_id)
-        self._postings: dict[str, np.ndarray] = {
-            token: np.asarray(ids, dtype=np.int64) for token, ids in postings.items()
-        }
-        self.n_rows = table.n_rows
+                added.setdefault(token, []).append(row_id)
+        postings = self._postings
+        for token, ids in added.items():
+            new = np.asarray(ids, dtype=np.int64)
+            old = postings.get(token)
+            postings[token] = new if old is None else np.concatenate([old, new])
+        self.n_rows = len(token_sets)
 
     @property
     def vocabulary_size(self) -> int:

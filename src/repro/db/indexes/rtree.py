@@ -12,7 +12,8 @@ interior-cell candidates are provably inside the box and boundary cells are
 filtered exactly, so the matches are exactly the points inside the box — a
 vectorized compare of every point against the box.  ``entries_scanned`` —
 every candidate in the covered cell rectangle — comes from 2D prefix sums of
-per-cell entry counts.
+per-cell entry counts.  Appended points that stay inside the data extent
+only add their cell counts to the prefix sums (:meth:`GridIndex.extend`).
 """
 
 from __future__ import annotations
@@ -36,28 +37,51 @@ class GridIndex(Index):
         if grid_size < 1:
             raise ValueError("grid_size must be >= 1")
         self.grid_size = grid_size
-        pts = table.points(column)
-        self.n_entries = len(pts)
+        self.n_entries = 0
         # Contiguous per-axis copies: the lookup broadcasts compares against
         # them, and strided (n, 2) column views halve the throughput.
-        self._x = np.ascontiguousarray(pts[:, 0])
-        self._y = np.ascontiguousarray(pts[:, 1])
+        self._x = np.empty(0)
+        self._y = np.empty(0)
         # 2D inclusive prefix sums of per-cell entry counts, so a lookup
         # charges a whole cell rectangle in O(1).
         self._prefix = np.zeros((grid_size + 1, grid_size + 1), dtype=np.int64)
-        if self.n_entries == 0:
-            self._min = np.zeros(2)
-            self._span = np.ones(2)
+        # Data extent (min and max corners); the span guards against
+        # degenerate (single-point) extents.
+        self._min = np.zeros(2)
+        self._max = np.zeros(2)
+        self._span = np.ones(2)
+        self.extend(table)
+
+    def extend(self, table: Table) -> None:
+        """Absorb points ``n_entries..``.  If every new point lies inside the
+        current data extent the cell mapping is unchanged, so their per-cell
+        counts add onto the prefix sums; otherwise the extent moved and every
+        point is re-bucketed over the new extent."""
+        pts = table.points(self.column)
+        added = pts[self.n_entries :]
+        if len(added) == 0:
             return
-        self._min = pts.min(axis=0)
-        span = pts.max(axis=0) - self._min
-        # Guard against degenerate (single-point) extents.
-        self._span = np.where(span > 0, span, 1.0)
-        cells = self._cell_of(pts)
+        inside = (
+            self.n_entries > 0
+            and bool(np.all(added.min(axis=0) >= self._min))
+            and bool(np.all(added.max(axis=0) <= self._max))
+        )
+        self._x = np.concatenate([self._x, added[:, 0]])
+        self._y = np.concatenate([self._y, added[:, 1]])
+        self.n_entries = len(pts)
+        if not inside:
+            self._min = pts.min(axis=0)
+            self._max = pts.max(axis=0)
+            span = self._max - self._min
+            self._span = np.where(span > 0, span, 1.0)
+            self._prefix = np.zeros_like(self._prefix)
+            added = pts
+        grid = self.grid_size
+        cells = self._cell_of(added)
         counts = np.bincount(
-            cells[:, 0] * grid_size + cells[:, 1], minlength=grid_size * grid_size
-        ).reshape(grid_size, grid_size)
-        self._prefix[1:, 1:] = counts.cumsum(axis=0).cumsum(axis=1)
+            cells[:, 0] * grid + cells[:, 1], minlength=grid * grid
+        ).reshape(grid, grid)
+        self._prefix[1:, 1:] += counts.cumsum(axis=0).cumsum(axis=1)
 
     def _cell_of(self, pts: np.ndarray) -> np.ndarray:
         scaled = (pts - self._min) / self._span * self.grid_size

@@ -78,6 +78,31 @@ class TestAccessors:
         assert first is table.token_sets("txt")
         assert "word1" in first[1]
 
+    def test_token_sets_keyed_by_column(self):
+        schema = TableSchema(
+            "two", (Column("a", ColumnKind.TEXT), Column("b", ColumnKind.TEXT))
+        )
+        table = Table(schema, {"a": ["red apple", "green"], "b": ["blue sky", "red"]})
+        assert table.token_sets("a") == [
+            frozenset({"red", "apple"}),
+            frozenset({"green"}),
+        ]
+        assert table.token_sets("b") == [
+            frozenset({"blue", "sky"}),
+            frozenset({"red"}),
+        ]
+
+    def test_append_extends_cached_token_sets_in_place(self):
+        table = build_table(3)
+        cached = table.token_sets("txt")
+        old_sets = list(cached)
+        table.append_rows(
+            {"id": np.array([3]), "txt": ["fresh token"], "loc": np.zeros((1, 2))}
+        )
+        assert table.token_sets("txt") is cached
+        assert cached[:3] == old_sets
+        assert cached[3] == frozenset({"fresh", "token"})
+
 
 class TestSampling:
     def test_sample_size_and_mapping(self):
